@@ -75,10 +75,9 @@
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -86,8 +85,8 @@ use std::time::{Duration, Instant};
 use troy_analysis::Code;
 use troy_resilience::{Backoff, Chaos, ClusterFault, SelfHealFault};
 use troy_service::{
-    parse_request, request_key, BreakerConfig, BreakerDecision, Cmd, Json, RejectKind, Request,
-    Response, Service, ServiceConfig, StatsSnapshot, MAX_LINE,
+    parse_request, request_key, BreakerConfig, BreakerDecision, Cmd, Gate, Json, RejectKind,
+    Request, Response, Service, ServiceConfig, StatsSnapshot, MAX_LINE,
 };
 
 use crate::journal::{Journal, JournalEntry};
@@ -186,8 +185,8 @@ struct Shared {
     /// ring member indices stay stable.
     workers: RwLock<Vec<Arc<WorkerSlot>>>,
     ring: RwLock<Ring>,
-    draining: AtomicBool,
-    connections_live: AtomicU64,
+    /// Drain flag, live router connections and the accept wake-up.
+    gate: Arc<Gate>,
     chaos: Chaos,
     probe_depth: usize,
     default_deadline: Duration,
@@ -217,7 +216,7 @@ struct Shared {
 
 impl Shared {
     fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+        self.gate.is_draining()
     }
 
     fn worker_snapshot(&self) -> Vec<Arc<WorkerSlot>> {
@@ -298,16 +297,14 @@ impl Cluster {
             None => (None, Vec::new()),
         };
 
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
+        let (listener, gate) = Gate::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
 
         let shared = Arc::new(Shared {
             stats: ClusterStats::default(),
             workers: RwLock::new(slots),
             ring: RwLock::new(ring),
-            draining: AtomicBool::new(false),
-            connections_live: AtomicU64::new(0),
+            gate: Arc::clone(&gate),
             chaos: config.chaos,
             probe_depth: config.probe_depth,
             default_deadline: config.default_deadline,
@@ -329,7 +326,12 @@ impl Cluster {
         });
         let accept = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+            std::thread::spawn(move || {
+                gate.serve(listener, move |stream| {
+                    ClusterStats::bump(&shared.stats.connections);
+                    handle_connection(stream, &shared);
+                });
+            })
         };
         let health = {
             let shared = Arc::clone(&shared);
@@ -379,9 +381,8 @@ impl Cluster {
     /// daemon, and returns the final router counters.
     #[must_use]
     pub fn join(self) -> ClusterSnapshot {
-        while !self.shared.is_draining() {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // The accept loop returns only once a drain has begun; the
+        // background loops wake from their pause on the same signal.
         let _ = self.accept.join();
         let _ = self.health.join();
         if let Some(supervisor) = self.supervisor {
@@ -390,11 +391,9 @@ impl Cluster {
         if let Some(replayer) = self.replayer {
             let _ = replayer.join();
         }
-        let drained_by = Instant::now() + self.drain_deadline;
-        while self.shared.connections_live.load(Ordering::SeqCst) > 0 && Instant::now() < drained_by
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.shared
+            .gate
+            .wait_idle(Instant::now() + self.drain_deadline);
         for slot in self.shared.worker_snapshot() {
             let _ = slot.shutdown_service();
         }
@@ -405,7 +404,7 @@ impl Cluster {
 impl ClusterHandle {
     /// Begins a graceful drain of the whole cluster. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.gate.drain();
     }
 
     /// `true` once a drain has begun.
@@ -563,35 +562,13 @@ fn spawn_worker(
     Ok(WorkerSlot::new(format!("w{idx}"), service, breaker))
 }
 
-/// Accepts until drain begins (same nonblocking poll as the daemon).
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.is_draining() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                ClusterStats::bump(&shared.stats.connections);
-                shared.connections_live.fetch_add(1, Ordering::SeqCst);
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || {
-                    handle_connection(stream, &shared);
-                    shared.connections_live.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
 /// Pings every non-dead worker each `health_interval` through its
 /// rationed breaker: `admit` gates the ping (an open breaker cools
 /// down untouched; half-open admits exactly one trial), and the ping's
 /// outcome is the recorded evidence. Dispatch outcomes feed the same
 /// breaker, so error rate and liveness jointly demote a worker.
 fn health_loop(shared: &Arc<Shared>) {
-    while !shared.is_draining() {
-        std::thread::sleep(shared.health_interval);
+    while !shared.gate.pause(shared.health_interval) {
         for slot in shared.worker_snapshot() {
             if slot.state() == WorkerState::Dead {
                 continue;
@@ -631,8 +608,7 @@ fn supervisor_loop(shared: &Arc<Shared>) {
     };
     let mut attempts: HashMap<usize, u32> = HashMap::new();
     let mut next_try: HashMap<usize, Instant> = HashMap::new();
-    while !shared.is_draining() {
-        std::thread::sleep(Duration::from_millis(25));
+    while !shared.gate.pause(Duration::from_millis(25)) {
         let workers = shared.worker_snapshot();
         for (i, slot) in workers.iter().enumerate() {
             if slot.state() != WorkerState::Dead {
@@ -941,7 +917,7 @@ fn route(line: &str, request: &Request, shared: &Arc<Shared>) -> String {
         Cmd::Ping => Response::outcome(&request.id, "pong").render_with(&shared.stats_json()),
         Cmd::Stats => Response::outcome(&request.id, "ok").render_with(&shared.stats_json()),
         Cmd::Shutdown => {
-            shared.draining.store(true, Ordering::SeqCst);
+            shared.gate.drain();
             let mut r = Response::outcome(&request.id, "ok");
             r.message = Some("draining: the cluster no longer accepts requests".to_owned());
             r.render_with(&shared.stats_json())

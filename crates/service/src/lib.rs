@@ -22,6 +22,7 @@
 
 pub mod admission;
 pub mod breaker;
+pub mod gate;
 pub mod json;
 pub mod protocol;
 pub mod server;
@@ -29,6 +30,7 @@ pub mod stats;
 
 pub use admission::{Admission, Admitted, Permit};
 pub use breaker::{Breaker, BreakerConfig, BreakerDecision, Breakers};
+pub use gate::Gate;
 pub use json::{escape, Json};
 pub use protocol::{parse_request, Cmd, RejectKind, Request, Response};
 pub use server::{build_problem, request_key, Service, ServiceConfig, ServiceHandle, MAX_LINE};

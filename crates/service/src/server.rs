@@ -28,10 +28,10 @@
 //! short grace before [`Service::join`] returns the final counters.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -46,6 +46,7 @@ use troyhls::{SolveOptions, SynthesisProblem};
 
 use crate::admission::{Admission, Admitted};
 use crate::breaker::{BreakerConfig, Breakers};
+use crate::gate::Gate;
 use crate::protocol::{parse_request, Cmd, RejectKind, Request, Response};
 use crate::stats::{ServiceStats, StatsSnapshot};
 
@@ -102,13 +103,11 @@ struct Shared {
     cache: ResultCache,
     /// Parent of every request token; cancelled at hard drain.
     root: Cancellation,
-    /// Set once by `shutdown`; never cleared.
-    draining: AtomicBool,
+    /// Drain flag, live connections and the accept wake-up.
+    gate: Arc<Gate>,
     /// Set by [`ServiceHandle::kill`]: crash-stop — pending responses
     /// are dropped, never written, as an abrupt process death would.
     killed: AtomicBool,
-    /// Live connection threads (drain waits for this to reach zero).
-    connections_live: AtomicU64,
     chaos: Chaos,
     default_deadline: Duration,
     frame_deadline: Duration,
@@ -116,7 +115,7 @@ struct Shared {
 
 impl Shared {
     fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+        self.gate.is_draining()
     }
 
     fn is_killed(&self) -> bool {
@@ -134,7 +133,7 @@ impl ServiceHandle {
     /// Begins a graceful drain: stop accepting, finish (or cancel, after
     /// the drain deadline) in-flight work. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.gate.drain();
     }
 
     /// `true` once a drain has begun.
@@ -150,7 +149,7 @@ impl ServiceHandle {
     /// a graceful stop is [`ServiceHandle::shutdown`]. Idempotent.
     pub fn kill(&self) {
         self.shared.killed.store(true, Ordering::SeqCst);
-        self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.gate.drain();
         self.shared.root.cancel();
     }
 
@@ -192,8 +191,7 @@ impl Service {
             cache_dir,
             chaos,
         } = config;
-        let listener = TcpListener::bind(&addr)?;
-        listener.set_nonblocking(true)?;
+        let (listener, gate) = Gate::bind(&addr)?;
         let local_addr = listener.local_addr()?;
         let cache = match cache_dir {
             Some(dir) => ResultCache::on_disk(dir)?,
@@ -205,16 +203,20 @@ impl Service {
             breakers: Breakers::new(breaker),
             cache,
             root: Cancellation::new(),
-            draining: AtomicBool::new(false),
+            gate: Arc::clone(&gate),
             killed: AtomicBool::new(false),
-            connections_live: AtomicU64::new(0),
             chaos,
             default_deadline,
             frame_deadline,
         });
         let accept = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+            std::thread::spawn(move || {
+                gate.serve(listener, move |stream| {
+                    ServiceStats::bump(&shared.stats.connections);
+                    handle_connection(stream, &shared);
+                });
+            })
         };
         Ok(Service {
             local_addr,
@@ -254,47 +256,15 @@ impl Service {
     /// are abandoned (their threads die with the process).
     #[must_use]
     pub fn join(self) -> StatsSnapshot {
-        while !self.shared.is_draining() {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // The accept loop returns only once a drain has begun.
         let _ = self.accept.join();
-        let drained_by = Instant::now() + self.drain_deadline;
-        while self.shared.connections_live.load(Ordering::SeqCst) > 0 && Instant::now() < drained_by
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let gate = &self.shared.gate;
+        gate.wait_idle(Instant::now() + self.drain_deadline);
         // Past the drain deadline: cancel everything still running and
         // give it one bounded grace to unwind through the token checks.
         self.shared.root.cancel();
-        let grace_until = Instant::now() + Duration::from_secs(2);
-        while self.shared.connections_live.load(Ordering::SeqCst) > 0
-            && Instant::now() < grace_until
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        gate.wait_idle(Instant::now() + Duration::from_secs(2));
         self.shared.stats.snapshot()
-    }
-}
-
-/// Accepts until drain begins. Nonblocking + poll so the loop can notice
-/// the drain flag without a wake-up connection.
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.is_draining() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                ServiceStats::bump(&shared.stats.connections);
-                shared.connections_live.fetch_add(1, Ordering::SeqCst);
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || {
-                    handle_connection(stream, &shared);
-                    shared.connections_live.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
     }
 }
 
@@ -439,7 +409,7 @@ fn handle_request(request: &Request, shared: &Arc<Shared>) -> Response {
         Cmd::Ping => Response::outcome(&request.id, "pong"),
         Cmd::Stats => Response::outcome(&request.id, "ok"),
         Cmd::Shutdown => {
-            shared.draining.store(true, Ordering::SeqCst);
+            shared.gate.drain();
             let mut r = Response::outcome(&request.id, "ok");
             r.message = Some("draining: no further requests will be accepted".to_owned());
             r
