@@ -114,8 +114,10 @@ pub enum Code {
     NearCollusion,
     /// TQ003: register pressure peaks with most copies live at once.
     RegisterPressure,
-    /// TR001: the reported design came from a fallback back end, not the
-    /// primary rung of the degradation ladder.
+    /// TR001: the reported design came from a fallback back end (or the
+    /// grace pass), not the primary rung of the degradation ladder — the
+    /// exact solver. A fallback to the ILP, the second prover, is
+    /// reported but does not make the answer degraded.
     DegradedBackend,
     /// TR002: the design satisfies a latency-relaxed variant of the
     /// problem, not the constraints as originally stated.
@@ -151,9 +153,10 @@ pub enum Code {
     /// appears in the cone's recovery copy — recovery of this output is
     /// not independent of the vendors it recovers from.
     RecoveryConeExposure,
-    /// TS004: the response carries no security certificate — the design
-    /// was produced on a degraded path and the diversity guarantee was
-    /// not machine-checked.
+    /// TS004: the response carries no security certificate — the answer
+    /// is degraded (latency-relaxed, from the grace pass, or found only
+    /// by a heuristic rung) and the diversity guarantee was not
+    /// machine-checked.
     UncertifiedResponse,
     /// TS005: the request was served by a backup worker after the shard
     /// owner selected by the cluster's consistent-hash ring failed

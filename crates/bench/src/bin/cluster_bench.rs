@@ -28,7 +28,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use troy_cluster::{Cluster, ClusterConfig, ClusterSnapshot};
+use troy_cluster::{Cluster, ClusterConfig, ClusterSnapshot, WorkerState};
 use troy_resilience::Chaos;
 use troy_service::{parse_request, BreakerConfig, Json};
 
@@ -238,7 +238,15 @@ fn run_sweep() -> Sweep {
                 }
             }
         }
-        cluster.handle().shutdown();
+        // Self-heal convergence, as in the cluster soak: every worker a
+        // kill left dead is Live again before shutdown, so the record
+        // counts the respawns the schedule calls for however fast the
+        // requests themselves were answered.
+        let handle = cluster.handle();
+        wait_for(Duration::from_secs(15), || {
+            (0..3).all(|i| handle.worker_state(i) == Some(WorkerState::Live))
+        });
+        handle.shutdown();
         let snap = cluster.join();
         let _ = std::fs::remove_dir_all(&wal_dir);
         let t = &mut sweep.totals;

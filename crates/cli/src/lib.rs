@@ -34,7 +34,7 @@
 //!                                 comparator on any output cone)
 //!
 //! synth resilience options (any of them engages the supervisor, which
-//! runs the degradation ladder ILP → exact → annealing → greedy with
+//! runs the degradation ladder exact → ILP → annealing → greedy with
 //! per-rung deadlines, retry/backoff and panic isolation; incompatible
 //! with --solver, --portfolio and --cache-dir):
 //!   --deadline DUR                total wall-clock budget, e.g. 2s, 500ms
@@ -135,8 +135,10 @@
 //!
 //! Exit codes: `0` success, `1` blocking diagnostics from `lint`, `2`
 //! usage/input/synthesis errors, `3` a supervised `synth` returned a
-//! *degraded* result (fallback back end, relaxed constraints or the
-//! grace pass — see the report for details).
+//! *degraded* result (relaxed constraints, the grace pass, or a design
+//! only a heuristic rung found — see the report for details). A prover
+//! fallback (the ILP after the exact rung failed) is reported as `TR001`
+//! but is not degraded.
 //!
 //! `synth` checks every solver result through the same `troy-analysis`
 //! engine `lint` uses, so the two paths cannot report differently.
@@ -154,7 +156,7 @@ use troy_portfolio::{
     cache_key, default_jobs, race, Backend, BatchConfig, PortfolioResult, ResultCache,
 };
 use troy_resilience::{
-    parse_duration, supervise, Chaos, Supervised, SupervisorConfig, CHAOS_PANIC_MARKER, LADDER,
+    parse_duration, supervise, Chaos, Supervised, SupervisorConfig, CHAOS_PANIC_MARKER,
 };
 use troy_sim::{run_grid, CampaignReport, DesignUnderTest, GridConfig, PayloadKind};
 use troyhls::{
@@ -1160,21 +1162,9 @@ fn quiet_injected_panics() {
 /// design-rule findings.
 fn resilience_diagnostics(sup: &Supervised) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if sup.backend != LADDER[0] || sup.degradation.grace {
-        let via = if sup.degradation.grace {
-            "the grace pass".to_owned()
-        } else {
-            format!("fallback back end `{}`", sup.backend)
-        };
+    if let Some(why) = sup.fallback() {
         out.push(
-            Diagnostic::new(
-                Code::DegradedBackend,
-                format!(
-                    "design produced by {via}, not the primary `{}` rung",
-                    LADDER[0]
-                ),
-            )
-            .with_fixit(FixIt::advice(
+            Diagnostic::new(Code::DegradedBackend, why).with_fixit(FixIt::advice(
                 "raise --deadline to give the primary solver room",
             )),
         );
@@ -1587,6 +1577,7 @@ fn lint_cmd(target: &str, args: &[String], out: &mut String) -> Result<i32, CliE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use troy_resilience::LADDER;
 
     fn cli(args: &[&str]) -> Result<String, CliError> {
         cli_with_code(args).map(|(out, _)| out)
@@ -1964,7 +1955,8 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("supervised[ilp]"), "{out}");
+        assert!(out.contains(&format!("supervised[{}]", LADDER[0])), "{out}");
+        assert!(!out.contains("best effort"), "{out}");
         assert!(!out.contains("degraded result"), "{out}");
     }
 
@@ -2010,31 +2002,52 @@ mod tests {
     #[test]
     fn synth_chaos_panic_degrades_with_exit_3_and_tr_diagnostics() {
         use troy_resilience::InjectedFault;
-        // A seed whose schedule panics the primary (ILP) rung's first
-        // attempt: the supervisor must demote it and descend, making the
-        // result degraded by construction — deterministic, no timing.
+        let fault = |s: u64, rung: usize| Chaos::seeded(s).fault_for_attempt(LADDER[rung], 0, 0);
+        let panic = Some(InjectedFault::Panic);
+        let run = |seed: u64| {
+            cli_with_code(&[
+                "synth",
+                "polynom",
+                "--catalog",
+                "table1",
+                "--mode",
+                "detection",
+                "--deadline",
+                "10s",
+                "--chaos-seed",
+                &seed.to_string(),
+                "--lint",
+            ])
+            .unwrap()
+        };
+
+        // A seed whose schedule panics the primary rung's first attempt
+        // and leaves the second prover alone: the supervisor demotes the
+        // primary and the ILP answers. That is a fallback (TR001, TR003)
+        // but not degradation — a prover's answer on the original
+        // constraints — so the exit code stays 0. Deterministic, no timing.
         let seed = (0..u64::MAX)
-            .find(|&s| {
-                Chaos::seeded(s).fault_for_attempt(Backend::Ilp, 0, 0) == Some(InjectedFault::Panic)
-            })
-            .expect("some seed panics the first ILP attempt");
-        let (out, code) = cli_with_code(&[
-            "synth",
-            "polynom",
-            "--catalog",
-            "table1",
-            "--mode",
-            "detection",
-            "--deadline",
-            "10s",
-            "--chaos-seed",
-            &seed.to_string(),
-            "--lint",
-        ])
-        .unwrap();
+            .find(|&s| fault(s, 0) == panic && fault(s, 1).is_none())
+            .expect("some seed panics only the primary rung's first attempt");
+        let (out, code) = run(seed);
+        assert_eq!(code, 0, "{out}");
+        assert!(!out.contains("degraded result"), "{out}");
+        assert!(out.contains(&format!("supervised[{}]", LADDER[1])), "{out}");
+        assert!(out.contains("TR001"), "{out}");
+        assert!(out.contains("TR003"), "{out}");
+
+        // A seed that panics both provers' first attempts: only a
+        // heuristic rung can answer, so the result is degraded by
+        // construction — exit 3 with the report and the TR codes.
+        let seed = (0..u64::MAX)
+            .find(|&s| fault(s, 0) == panic && fault(s, 1) == panic)
+            .expect("some seed panics both provers' first attempts");
+        let (out, code) = run(seed);
         assert_eq!(code, 3, "{out}");
         assert!(out.contains("degraded result (exit 3):"), "{out}");
-        assert!(!out.contains("supervised[ilp]"), "{out}");
+        for prover in &LADDER[..2] {
+            assert!(!out.contains(&format!("supervised[{prover}]")), "{out}");
+        }
         assert!(out.contains("TR001"), "{out}");
         assert!(out.contains("TR003"), "{out}");
     }

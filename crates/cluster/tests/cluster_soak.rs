@@ -12,7 +12,6 @@
 //! `TROY_CLUSTER_SOAK_SEED` pins the soak to one seed (the CI matrix
 //! uses this); unset, the full 104-seed sweep runs.
 
-use std::fmt::Write as _;
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -132,18 +131,18 @@ fn canonical(line: &str) -> String {
 
 // ----------------------------------------------------------- problem zoo
 
-/// A linear chain of `n` adds — the 60-op variant's first LP relaxation
-/// outlasts any sub-second deadline, making it a deterministic slow
-/// request for mid-flight failover.
-fn chain_dfg(name: &str, n: usize) -> String {
-    let mut text = format!("dfg {name}\n");
-    for i in 0..n {
-        let _ = writeln!(text, "op n{i} add");
-    }
-    for i in 1..n {
-        let _ = writeln!(text, "edge n{} n{i}", i - 1);
-    }
-    text
+/// A deterministic slow request that still ends `ok`: diff2 at λ = 40
+/// under a 30000 area cap, where the exact rung spends its whole node
+/// budget on every cheaper license set — seconds of fixed work — before
+/// it settles on a best-effort design. `no_degrade` keeps it on that
+/// rung; the generous deadline is headroom for a loaded machine, not
+/// part of any contract.
+fn slow_synth(id: &str) -> String {
+    format!(
+        "{{\"id\":\"{id}\",\"cmd\":\"synth\",\"benchmark\":\"diff2\",\"mode\":\"detection\",\
+         \"catalog\":\"paper8\",\"lambda_det\":40,\"area\":30000,\"deadline_ms\":25000,\
+         \"no_degrade\":true}}"
+    )
 }
 
 /// JSON-escapes DFG text for the `dfg` request field.
@@ -381,15 +380,9 @@ fn mid_flight_worker_kill_re_dispatches_with_the_remaining_deadline() {
     let router = cluster.local_addr();
     let handle = cluster.handle();
 
-    // A 60-op chain whose LP grinds past any sub-second point: still in
-    // flight when the kill lands 400 ms in. The generous deadline is
-    // headroom for a loaded machine (the backup re-solves from scratch
-    // while sibling tests hold the cores), not part of the contract.
-    let line = format!(
-        "{{\"id\":\"slow\",\"cmd\":\"synth\",\"dfg\":\"{}\",\"catalog\":\"table1\",\
-         \"lambda_det\":66,\"lambda_rec\":62,\"deadline_ms\":25000,\"no_degrade\":true}}",
-        inline(&chain_dfg("bigchain", 60))
-    );
+    // Still in flight when the kill lands 400 ms in; the backup
+    // re-solves from scratch while sibling tests hold the cores.
+    let line = slow_synth("slow");
     let owner = owner_of(&cluster, &line);
 
     let t0 = Instant::now();
@@ -467,13 +460,9 @@ fn worker_overload_hints_propagate_through_the_router() {
     let cluster = Cluster::start(config).expect("cluster");
     let router = cluster.local_addr();
 
-    // The occupier holds w0's only slot for several seconds (the 60-op
-    // chain's LP grinds well past the point where B and C are shed).
-    let holder_line = format!(
-        "{{\"id\":\"hold\",\"cmd\":\"synth\",\"dfg\":\"{}\",\"catalog\":\"table1\",\
-         \"lambda_det\":66,\"lambda_rec\":62,\"deadline_ms\":25000,\"no_degrade\":true}}",
-        inline(&chain_dfg("bigchain", 60))
-    );
+    // The occupier holds w0's only slot for seconds, well past the
+    // point where B and C are shed.
+    let holder_line = slow_synth("hold");
     let holder =
         std::thread::spawn(move || roundtrip(router, &holder_line, Duration::from_secs(40)));
     std::thread::sleep(Duration::from_millis(500));

@@ -10,10 +10,13 @@
 //!   (enforced through the [`troy_ilp::Cancellation`] chain), **retry
 //!   with jittered exponential backoff** for transient faults, **panic
 //!   isolation** (a crashing back end is demoted, never aborts the run),
-//!   and a **degradation ladder** — ILP → exact → annealing → greedy,
-//!   then latency relaxation — so a run always returns the best
-//!   implementation it could prove, annotated with a structured
-//!   [`Degradation`] report.
+//!   and a **degradation ladder** — exact → ILP → annealing → greedy,
+//!   provers ordered by the cost of reaching a proof, then latency
+//!   relaxation — so a run always returns the best implementation it
+//!   could prove, annotated with a structured [`Degradation`] report. An
+//!   answer is *degraded* only when it is relaxed, came from the grace
+//!   pass, or was won by a heuristic rung; a prover's answer on the
+//!   original constraints is not, whichever prover produced it.
 //! - [`Chaos`] is a seeded, deterministic fault injector (solver panics,
 //!   artificial stalls, spurious cancellations, cache-file corruption)
 //!   activated via `TROY_CHAOS` or `--chaos-seed`; the crate's property

@@ -6,10 +6,17 @@
 //! retried with jittered exponential backoff, a panicking back end is
 //! caught and demoted instead of aborting the run, and when a rung fails
 //! outright the supervisor descends a fixed **degradation ladder** —
-//! ILP → exact → annealing → greedy, then constraint relaxation (latency
+//! exact → ILP → annealing → greedy, then constraint relaxation (latency
 //! +1 per step up to a cap) — so the caller always receives the best
 //! implementation the machine could produce, annotated with a structured
 //! [`Degradation`] report saying exactly which rungs ran and why.
+//!
+//! The rungs are ordered by the measured cost of reaching a proof: the
+//! exact license-lattice solver proves the paper's Fig. 5 in about 10 ms,
+//! the ILP needs over a minute for the same proof. An answer is
+//! *degraded* by what it is, not by which rung produced it: a relaxed
+//! answer, a grace-pass answer, or one only a heuristic rung found (see
+//! [`Supervised::degraded`]).
 //!
 //! The invariant the chaos suite pins down: for *any* injected fault
 //! schedule, [`supervise`] terminates within its deadline bound (plus the
@@ -28,10 +35,11 @@ use crate::backoff::Backoff;
 use crate::chaos::Chaos;
 
 /// The degradation ladder, best rung first: provers before heuristics,
-/// the ILP (the paper's own engine) as the primary.
+/// ordered by the cost of reaching a proof — the exact solver as the
+/// primary, the ILP (the paper's own engine) as the second prover.
 pub const LADDER: [Backend; 4] = [
-    Backend::Ilp,
     Backend::Exact,
+    Backend::Ilp,
     Backend::Annealing,
     Backend::Greedy,
 ];
@@ -54,8 +62,9 @@ pub struct SupervisorConfig {
     /// Extra attempts per rung for *transient* faults (spurious
     /// cancellation); deterministic failures descend immediately.
     pub max_retries: usize,
-    /// `false` pins the run to the primary rung: no ladder descent, no
-    /// relaxation, no grace pass — first failure is the answer.
+    /// `false` pins the run to the first rung not `disabled`: no ladder
+    /// descent, no relaxation, no grace pass — first failure is the
+    /// answer — and that rung gets the whole deadline.
     pub degrade: bool,
     /// Latency relaxation cap: constraints are retried with both phase
     /// latencies increased by `1..=max_relaxation` cycles.
@@ -65,8 +74,8 @@ pub struct SupervisorConfig {
     /// Back ends excluded for the whole run before it starts — the hook
     /// the service layer's circuit breakers use to shed a flapping rung
     /// without burning its retry budget. Excluded rungs appear in the
-    /// [`Degradation`] report as skipped, so a run that had to bypass its
-    /// primary rung still reads as degraded.
+    /// [`Degradation`] report as skipped, and a run that had to bypass its
+    /// primary rung reports it through [`Supervised::fallback`].
     pub disabled: Vec<Backend>,
     /// Base solver options; `cancel` is the parent of every attempt
     /// token, `node_limit` is inherited per attempt, and `time_limit` is
@@ -254,13 +263,34 @@ pub struct Supervised {
 }
 
 impl Supervised {
-    /// `true` when the result is *degraded*: it did not come from the
-    /// primary rung under the original constraints — the CLI's exit-3
-    /// condition. Retries that still won on the primary rung are not
-    /// degradation (the result is exactly what was asked for).
+    /// `true` when the result is *degraded* — the CLI's exit-3 condition
+    /// and the daemon's `degraded` status. That is decided by what the
+    /// answer is: it meets latency-relaxed constraints, it came from the
+    /// grace pass, or it was won by a rung that cannot prove optimality
+    /// (annealing, greedy). A prover's answer on the original constraints
+    /// is not degraded, whichever prover ran and whether it finished its
+    /// proof; [`Synthesis::proven_optimal`] says the latter.
     #[must_use]
     pub fn degraded(&self) -> bool {
-        self.relaxation > 0 || self.backend != LADDER[0] || self.degradation.grace
+        self.relaxation > 0 || self.degradation.grace || !self.backend.can_prove()
+    }
+
+    /// Why the design did not come from the primary rung (`LADDER[0]`),
+    /// or `None` when it did — the `TR001` diagnostic's message, shared
+    /// by the CLI's `--lint` report and the daemon's response codes.
+    #[must_use]
+    pub fn fallback(&self) -> Option<String> {
+        let via = if self.degradation.grace {
+            "the grace pass".to_owned()
+        } else if self.backend != LADDER[0] {
+            format!("fallback back end `{}`", self.backend)
+        } else {
+            return None;
+        };
+        Some(format!(
+            "design produced by {via}, not the primary `{}` rung",
+            LADDER[0]
+        ))
     }
 }
 
@@ -353,7 +383,9 @@ enum RungVerdict {
 ///
 /// Per relaxation step (0, then +1 latency up to the cap while
 /// degradation is allowed), each non-demoted ladder rung gets a slice of
-/// the remaining deadline, enforced as a [`Cancellation::child_with_deadline`]
+/// the remaining deadline (an even share over the rungs of its kind still
+/// ahead: the provers split it, see [`runnable_rungs`]), enforced as a
+/// [`Cancellation::child_with_deadline`]
 /// token chained under `config.options.cancel`; within a rung, transient
 /// faults retry up to `config.max_retries` times with jittered
 /// exponential backoff. A panicking or miscosting back end is demoted for
@@ -403,10 +435,7 @@ pub fn supervise(
                 });
                 continue;
             }
-            let rungs_left = LADDER[rung_no..]
-                .iter()
-                .filter(|b| !demoted.contains(b))
-                .count();
+            let rungs_left = runnable_rungs(&LADDER[rung_no..], &demoted, config.degrade);
             let verdict = run_rung(
                 backend,
                 step,
@@ -498,6 +527,40 @@ pub fn supervise(
     Err(SupervisorError { kind, degradation })
 }
 
+/// How many rungs of `ahead` (the current rung first) share its part of
+/// the deadline: the rungs of the same kind (prover or heuristic) that
+/// are not demoted, or just the current one when descent is off —
+/// `--no-degrade` never runs a second rung, so it must not budget one.
+///
+/// The provers split the deadline between them, so the ILP, the last
+/// prover, keeps whatever the exact solver leaves. Nothing is held back
+/// for the heuristic rungs: when the ILP runs out of time it still
+/// answers with at least its greedy warm start, so they matter only
+/// after a prover fails outright (a panic, an invalid design, a typed
+/// error), which leaves them the time it did not use.
+fn runnable_rungs(ahead: &[Backend], demoted: &[Backend], degrade: bool) -> usize {
+    if degrade {
+        let proves = ahead[0].can_prove();
+        ahead
+            .iter()
+            .filter(|b| b.can_prove() == proves && !demoted.contains(b))
+            .count()
+    } else {
+        1
+    }
+}
+
+/// One attempt's deadline slice: an even share of the `remaining`
+/// deadline over the `rungs_left` rungs that share it (this one
+/// included, see [`runnable_rungs`]), floored at [`MIN_SLICE`] so a
+/// slice is never uselessly small. With the provers first, the exact
+/// solver gets half of a fresh deadline, so its node-limited searches
+/// on the hardest paper rows finish inside a 1 s request's slice with
+/// room to spare instead of racing a quarter of it.
+fn attempt_slice(remaining: Duration, rungs_left: usize) -> Duration {
+    (remaining / rungs_left.max(1) as u32).max(MIN_SLICE)
+}
+
 /// Runs one rung (all its attempts) and records it into `degradation`.
 #[allow(clippy::too_many_arguments)]
 fn run_rung(
@@ -525,12 +588,8 @@ fn run_rung(
             verdict = RungVerdict::OutOfTime;
             break;
         }
-        // This attempt's slice: an even share of the remaining deadline
-        // over the rungs still ahead (including this one), floored so a
-        // slice is never uselessly small, and never past the root
-        // deadline (the child token clamps to the earlier bound).
-        let remaining = config.deadline.saturating_sub(t0.elapsed());
-        let slice = (remaining / rungs_left.max(1) as u32).max(MIN_SLICE);
+        // The child token clamps the slice to the root deadline.
+        let slice = attempt_slice(config.deadline.saturating_sub(t0.elapsed()), rungs_left);
         let token = root.child_with_deadline(slice);
         let attempt_options = SolveOptions {
             time_limit: slice,
@@ -667,9 +726,11 @@ mod tests {
             &Chaos::disabled(),
         )
         .expect("feasible");
-        assert_eq!(sup.backend, Backend::Ilp);
+        assert_eq!(sup.backend, LADDER[0]);
         assert_eq!(sup.relaxation, 0);
         assert!(!sup.degraded());
+        assert_eq!(sup.fallback(), None);
+        assert!(sup.synthesis.proven_optimal);
         assert!(is_sound(&sup.problem, &sup.synthesis));
         assert_eq!(sup.degradation.attempts(), 1);
         assert_eq!(sup.degradation.retries(), 0);
@@ -677,26 +738,111 @@ mod tests {
     }
 
     #[test]
-    fn disabled_primary_rung_is_skipped_and_the_run_reads_as_degraded() {
-        // A circuit breaker opening on the ILP rung pre-disables it; the
-        // run must fall through to the next rung, report the skip, and
-        // count as degraded without the breaker ever re-closing mid-run.
+    fn disabled_primary_rung_is_skipped_and_the_fallback_is_reported() {
+        // A circuit breaker opening on the primary rung pre-disables it;
+        // the run must fall through to the next prover, report the skip
+        // and the fallback, and still count as an undegraded answer — a
+        // prover's design on the original constraints is what was asked.
         let config = SupervisorConfig {
-            disabled: vec![Backend::Ilp],
+            disabled: vec![LADDER[0]],
             ..SupervisorConfig::default()
         };
         let sup = supervise(&tiny_problem(), &config, &Chaos::disabled()).expect("feasible");
-        assert_ne!(sup.backend, Backend::Ilp);
-        assert!(sup.degraded(), "bypassing the primary rung is degradation");
+        assert_eq!(sup.backend, LADDER[1]);
+        assert!(!sup.degraded(), "{}", sup.degradation.summary());
+        let why = sup
+            .fallback()
+            .expect("bypassing the primary rung is a fallback");
+        assert!(
+            why.contains(&format!("not the primary `{}` rung", LADDER[0])),
+            "{why}"
+        );
         assert!(is_sound(&sup.problem, &sup.synthesis));
-        let ilp_rung = sup
+        let primary = sup
             .degradation
             .rungs
             .iter()
-            .find(|r| r.backend == Backend::Ilp)
-            .expect("ilp rung reported");
-        assert!(ilp_rung.skipped);
-        assert!(ilp_rung.attempts.is_empty());
+            .find(|r| r.backend == LADDER[0])
+            .expect("primary rung reported");
+        assert!(primary.skipped);
+        assert!(primary.attempts.is_empty());
+
+        // With both provers out, only a heuristic can answer: degraded.
+        let config = SupervisorConfig {
+            disabled: vec![Backend::Exact, Backend::Ilp],
+            ..SupervisorConfig::default()
+        };
+        let sup = supervise(&tiny_problem(), &config, &Chaos::disabled()).expect("feasible");
+        assert!(!sup.backend.can_prove());
+        assert!(sup.degraded(), "a heuristic-only answer is degradation");
+        assert!(sup.fallback().is_some());
+        assert!(is_sound(&sup.problem, &sup.synthesis));
+    }
+
+    #[test]
+    fn slices_share_the_deadline_over_rungs_that_may_still_run() {
+        let second = Duration::from_secs(1);
+        // Descent on: the provers share the deadline, and so do the
+        // heuristics that run after a prover failed outright.
+        assert_eq!(runnable_rungs(&LADDER, &[], true), 2);
+        assert_eq!(runnable_rungs(&LADDER[1..], &[], true), 1);
+        assert_eq!(runnable_rungs(&LADDER[2..], &[], true), 2);
+        assert_eq!(runnable_rungs(&LADDER[3..], &[], true), 1);
+        // A demoted prover leaves the other one the whole deadline.
+        assert_eq!(runnable_rungs(&LADDER, &[LADDER[1]], true), 1);
+        assert_eq!(runnable_rungs(&LADDER[2..], &[LADDER[3]], true), 1);
+        // A 1 s deadline: the exact solver gets 500 ms, the ILP the rest.
+        let exact = attempt_slice(second, runnable_rungs(&LADDER, &[], true));
+        assert_eq!(exact, Duration::from_millis(500));
+        let left = second.saturating_sub(exact);
+        let ilp = attempt_slice(left, runnable_rungs(&LADDER[1..], &[], true));
+        assert_eq!(ilp, Duration::from_millis(500));
+        // Descent off: only the current rung can ever run, so it gets
+        // the whole deadline, not a share of it.
+        assert_eq!(runnable_rungs(&LADDER, &[], false), 1);
+        assert_eq!(runnable_rungs(&LADDER[1..], &[LADDER[0]], false), 1);
+        assert_eq!(attempt_slice(second, 1), second);
+        // The floor: a slice is never uselessly small, nor a division by 0.
+        assert_eq!(attempt_slice(Duration::from_millis(12), 4), MIN_SLICE);
+        assert_eq!(attempt_slice(Duration::ZERO, 0), MIN_SLICE);
+    }
+
+    #[test]
+    fn no_degrade_gives_the_primary_rung_the_whole_deadline() {
+        // With descent off no share of the deadline may be budgeted for
+        // rungs that never run. diff2 at λ=14 under a 20000 area cap is
+        // undecidable for the exact solver in far more than the deadline
+        // (it neither finds a design nor proves there is none), so its
+        // one attempt must run until the whole deadline expires.
+        let problem = SynthesisProblem::builder(benchmarks::diff2(), Catalog::paper8())
+            .mode(Mode::DetectionOnly)
+            .detection_latency(14)
+            .area_limit(20_000)
+            .build()
+            .expect("well-formed");
+        let deadline = Duration::from_millis(400);
+        let config = SupervisorConfig {
+            deadline,
+            degrade: false,
+            ..SupervisorConfig::default()
+        };
+        let err = supervise(&problem, &config, &Chaos::disabled()).unwrap_err();
+        assert_eq!(
+            err.kind,
+            SupervisorErrorKind::DeadlineExhausted { deadline }
+        );
+        let ran: Vec<&Attempt> = err
+            .degradation
+            .rungs
+            .iter()
+            .flat_map(|r| &r.attempts)
+            .collect();
+        assert_eq!(ran.len(), 1, "{}", err.degradation.summary());
+        assert!(
+            ran[0].elapsed >= deadline * 3 / 4,
+            "the primary rung gave up after {:?} of a {deadline:?} deadline",
+            ran[0].elapsed
+        );
     }
 
     #[test]
@@ -880,6 +1026,9 @@ mod tests {
         )
         .expect("feasible");
         let text = sup.degradation.summary();
-        assert!(text.contains("rung ilp attempt 1: ok"), "{text}");
+        assert!(
+            text.contains(&format!("rung {} attempt 1: ok", LADDER[0])),
+            "{text}"
+        );
     }
 }

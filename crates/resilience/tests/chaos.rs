@@ -14,7 +14,7 @@ use std::sync::Once;
 use std::time::{Duration, Instant};
 
 use troy_dfg::benchmarks;
-use troy_portfolio::{cache_key, race, synthesize_isolated, Backend, ResultCache};
+use troy_portfolio::{cache_key, race, synthesize_isolated, ResultCache};
 use troy_resilience::{
     supervise, AttemptOutcome, Chaos, Supervised, SupervisorConfig, SupervisorError,
     CHAOS_PANIC_MARKER, GRACE_BUDGET, LADDER,
@@ -243,16 +243,18 @@ fn injected_panics_are_marked_and_demote_the_backend() {
 fn chaos_off_reproduces_fig5_through_the_full_ladder() {
     let problem = fig5();
     let config = SupervisorConfig {
-        // A modest deadline keeps the ILP's slice small; being an
-        // anytime solver it still lands on the $4160 optimum (best
-        // effort) well inside it.
         deadline: Duration::from_secs(8),
         ..SupervisorConfig::default()
     };
     let sup = supervise(&problem, &config, &Chaos::disabled()).expect("figure 5 is feasible");
     assert_eq!(sup.synthesis.cost, 4160);
     assert_eq!(sup.backend, LADDER[0]);
+    assert!(
+        sup.synthesis.proven_optimal,
+        "the primary rung proves Fig. 5"
+    );
     assert!(!sup.degraded(), "{}", sup.degradation.summary());
+    assert_eq!(sup.fallback(), None);
 
     for backend in LADDER {
         let s = synthesize_isolated(backend, &problem, &SolveOptions::quick())
@@ -337,7 +339,7 @@ fn no_degrade_never_descends_even_under_chaos() {
         let result = supervise(&problem, &config, &chaos);
         let degradation = match &result {
             Ok(sup) => {
-                assert_eq!(sup.backend, Backend::Ilp, "seed {seed}");
+                assert_eq!(sup.backend, LADDER[0], "seed {seed}");
                 assert_eq!(sup.relaxation, 0, "seed {seed}");
                 assert!(!sup.degradation.grace, "seed {seed}");
                 &sup.degradation
@@ -346,7 +348,7 @@ fn no_degrade_never_descends_even_under_chaos() {
         };
         for rung in &degradation.rungs {
             assert!(
-                rung.skipped || rung.backend == Backend::Ilp,
+                rung.skipped || rung.backend == LADDER[0],
                 "seed {seed}: rung {} ran under --no-degrade",
                 rung.backend
             );

@@ -40,7 +40,7 @@ use troy_dfg::{benchmarks, parse_dfg};
 use troy_ilp::Cancellation;
 use troy_portfolio::{cache_key, Backend, CacheKey, CachedEntry, PortfolioResult, ResultCache};
 use troy_resilience::{
-    supervise, AttemptOutcome, Chaos, Degradation, SupervisorConfig, SupervisorErrorKind, LADDER,
+    supervise, AttemptOutcome, Chaos, Degradation, SupervisorConfig, SupervisorErrorKind,
 };
 use troyhls::{SolveOptions, SynthesisProblem};
 
@@ -598,7 +598,7 @@ fn handle_synth(request: &Request, shared: &Arc<Shared>) -> Response {
             if !open.is_empty() {
                 codes.push(Code::CircuitOpen.as_str().to_owned());
             }
-            if sup.backend != LADDER[0] || sup.degradation.grace {
+            if sup.fallback().is_some() {
                 codes.push(Code::DegradedBackend.as_str().to_owned());
             }
             if sup.relaxation > 0 {

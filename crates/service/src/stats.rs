@@ -15,8 +15,8 @@ pub struct ServiceStats {
     pub shed_circuit: AtomicU64,
     /// Admitted requests that completed un-degraded.
     pub completed_ok: AtomicU64,
-    /// Admitted requests that completed degraded (fallback rung,
-    /// relaxation, grace pass, or an open breaker skipping a rung).
+    /// Admitted requests that completed degraded (relaxation, grace
+    /// pass, or a design only a heuristic rung found).
     pub completed_degraded: AtomicU64,
     /// Admitted requests that ended in a typed error.
     pub failed: AtomicU64,

@@ -12,7 +12,6 @@
 //! supervisor chaos suite uses, so one seed denotes one replayable mix
 //! of client behaviors.
 
-use std::fmt::Write as _;
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -121,38 +120,17 @@ fn stat(resp: &Json, key: &str) -> u64 {
 
 // ----------------------------------------------------------- problem zoo
 
-/// A linear chain of `n` adds: critical path `n`, so huge operation
-/// mobility once λ exceeds it. The 60-op variant's first LP relaxation
-/// is guaranteed to outlast any sub-second deadline, which makes it a
-/// deterministic slot occupier.
-fn chain_dfg(name: &str, n: usize) -> String {
-    let mut text = format!("dfg {name}\n");
-    for i in 0..n {
-        let _ = writeln!(text, "op n{i} add");
-    }
-    for i in 1..n {
-        let _ = writeln!(text, "edge n{} n{i}", i - 1);
-    }
-    text
-}
-
-/// Four independent 3-op chains. Under λ = 40 the mobility explodes; an
-/// area cap of 1700 is below anything the greedy warm start can reach
-/// (its best is 1790), so the ILP rung runs with no incumbent and times
-/// out deterministically — the breaker-trip workload.
-fn wide_dfg() -> String {
-    let mut text = String::from("dfg wide12\n");
-    for c in 0..4 {
-        for i in 0..3 {
-            let _ = writeln!(text, "op c{c}n{i} add");
-        }
-    }
-    for c in 0..4 {
-        for i in 1..3 {
-            let _ = writeln!(text, "edge c{c}n{} c{c}n{i}", i - 1);
-        }
-    }
-    text
+/// diff2 at λ = 14 under a 20000 area cap: the exact solver neither
+/// finds a design nor proves there is none in far more than any test
+/// deadline (it runs out a 50 s budget), the ILP finds no incumbent, and
+/// the greedy heuristic (the grace pass) finds no design either — a
+/// deterministic rung failure that does not depend on machine speed.
+fn undecidable(id: &str, deadline_ms: u64, no_degrade: bool) -> String {
+    format!(
+        "{{\"id\":\"{id}\",\"cmd\":\"synth\",\"benchmark\":\"diff2\",\"mode\":\"detection\",\
+         \"catalog\":\"paper8\",\"lambda_det\":14,\"area\":20000,\"deadline_ms\":{deadline_ms},\
+         \"no_degrade\":{no_degrade}}}"
+    )
 }
 
 /// JSON-escapes DFG text for the `dfg` request field.
@@ -175,7 +153,8 @@ const FIG5: &str = "{\"id\":\"fig5\",\"cmd\":\"synth\",\"benchmark\":\"polynom\"
 // ------------------------------------------------------------------ tests
 
 /// Chaos off: the paper's Fig. 5 design point survives the service path
-/// byte for byte — $4160 on `polynom` under detection+recovery — and the
+/// byte for byte — $4160 on `polynom` under detection+recovery, proven
+/// by the exact rung, certified, with no diagnostic codes — and the
 /// daemon's whole lifecycle (synth, cache hit, ping, stats, shutdown,
 /// drain) works over one connection.
 #[test]
@@ -197,6 +176,11 @@ fn fig5_oracle_cache_and_lifecycle_through_the_service_path() {
     assert_eq!(status(&resp), "ok", "{resp:?}");
     assert_eq!(resp.get("cost").and_then(Json::as_u64), Some(4160));
     assert_eq!(resp.get("id").and_then(Json::as_str), Some("fig5"));
+    // The primary rung proves the optimum; nothing is degraded, so no
+    // TS004 (or any other code) rides along.
+    assert_eq!(resp.get("backend").and_then(Json::as_str), Some("exact"));
+    assert_eq!(resp.get("proven"), Some(&Json::Bool(true)), "{resp:?}");
+    assert!(codes(&resp).is_empty(), "{resp:?}");
     assert!(resp.get("elapsed_ms").is_some());
     assert!(resp.get("cached").is_none(), "first solve is not cached");
     let cert = resp
@@ -216,8 +200,8 @@ fn fig5_oracle_cache_and_lifecycle_through_the_service_path() {
         cert.get("pair_exposed_cones").and_then(Json::as_u64),
         Some(0)
     );
-    let fresh_checksum = cert.get("checksum").and_then(Json::as_u64);
-    assert!(fresh_checksum.is_some());
+    let fresh_cert = cert.clone();
+    assert!(cert.get("checksum").and_then(Json::as_u64).is_some());
 
     // The identical problem again: a cache hit, regardless of the
     // per-request deadline (the key deliberately excludes it).
@@ -227,13 +211,14 @@ fn fig5_oracle_cache_and_lifecycle_through_the_service_path() {
     assert_eq!(status(&resp), "ok");
     assert_eq!(resp.get("cost").and_then(Json::as_u64), Some(4160));
     assert_eq!(resp.get("cached"), Some(&Json::Bool(true)));
+    assert_eq!(resp.get("backend").and_then(Json::as_str), Some("exact"));
+    assert_eq!(resp.get("proven"), Some(&Json::Bool(true)), "{resp:?}");
     // The cache hit re-proves the stored binding, so the certificate
     // (checksum included) matches the fresh solve's.
     let cert = resp
         .get("certificate")
         .expect("a cached ok response carries a certificate too");
-    assert_eq!(cert.get("design").and_then(Json::as_str), Some("polynom"));
-    assert_eq!(cert.get("checksum").and_then(Json::as_u64), fresh_checksum);
+    assert_eq!(cert, &fresh_cert);
 
     send(&mut stream, "{\"id\":\"p\",\"cmd\":\"ping\"}");
     let resp = read_line(&mut stream, Duration::from_secs(2)).expect("pong");
@@ -343,15 +328,15 @@ fn overload_sheds_surplus_requests_with_typed_rejections() {
     .expect("bind");
     let addr = service.local_addr();
 
-    // The occupier: a 60-op chain whose LP grinds until the 1.5 s
-    // deadline, holding the only slot for at least that long.
-    let holder_line = format!(
-        "{{\"id\":\"hold\",\"cmd\":\"synth\",\"dfg\":\"{}\",\"catalog\":\"table1\",\
-         \"lambda_det\":66,\"lambda_rec\":62,\"deadline_ms\":1500,\"no_degrade\":true}}",
-        inline(&chain_dfg("bigchain", 60))
-    );
+    // The occupier: diff2 at λ = 40 under a 30000 area cap, where the
+    // exact rung spends its whole node budget on every cheaper license
+    // set (seconds of deterministic work) before it settles on a
+    // best-effort design, holding the only slot for that long.
+    let holder_line = "{\"id\":\"hold\",\"cmd\":\"synth\",\"benchmark\":\"diff2\",\
+        \"mode\":\"detection\",\"catalog\":\"paper8\",\"lambda_det\":40,\"area\":30000,\
+        \"deadline_ms\":20000,\"no_degrade\":true}";
     let holder = std::thread::spawn(move || {
-        roundtrip(addr, &holder_line, Duration::from_secs(15)).expect("holder response")
+        roundtrip(addr, holder_line, Duration::from_secs(25)).expect("holder response")
     });
     // Let the holder get admitted and into the solver.
     std::thread::sleep(Duration::from_millis(500));
@@ -394,12 +379,13 @@ fn overload_sheds_surplus_requests_with_typed_rejections() {
     assert_eq!(snap.panics, 0);
 }
 
-/// Two deterministic ILP-rung timeouts (high-mobility problem whose warm
-/// start is blocked by the area cap) trip the ILP circuit breaker; the
-/// next request then skips the open rung up front, completes on the
-/// exact back end, and is reported `degraded` with `TS002` + `TR001`.
+/// Two deterministic timeouts of the primary (exact) rung on a problem it
+/// cannot decide trip its circuit breaker; the next request then skips
+/// the open rung up front and is answered by the ILP, the second prover.
+/// That answer is a fallback — `TS002` + `TR001` say so — but not a
+/// degraded one: status `ok`, cached, and certified.
 #[test]
-fn breaker_opens_after_rung_failures_and_later_requests_degrade() {
+fn breaker_opens_after_rung_failures_and_later_requests_fall_back() {
     let service = Service::start(ServiceConfig {
         max_inflight: 2,
         queue_depth: 2,
@@ -413,41 +399,92 @@ fn breaker_opens_after_rung_failures_and_later_requests_degrade() {
     })
     .expect("bind");
     let addr = service.local_addr();
-    let wide = inline(&wide_dfg());
 
     for id in ["f1", "f2"] {
-        let line = format!(
-            "{{\"id\":\"{id}\",\"cmd\":\"synth\",\"dfg\":\"{wide}\",\"catalog\":\"table1\",\
-             \"lambda_det\":40,\"lambda_rec\":40,\"area\":1700,\"deadline_ms\":800,\
-             \"no_degrade\":true}}"
-        );
-        let resp = roundtrip(addr, &line, Duration::from_secs(10)).expect("failure response");
+        // `no_degrade` pins the run to the primary rung, which gets the
+        // whole deadline and times out.
+        let resp = roundtrip(addr, &undecidable(id, 400, true), Duration::from_secs(10))
+            .expect("failure response");
         assert_eq!(status(&resp), "error", "{resp:?}");
-        assert_eq!(resp.get("kind").and_then(Json::as_str), Some("failed"));
+        assert_eq!(resp.get("kind").and_then(Json::as_str), Some("deadline"));
+        assert!(codes(&resp).contains(&"TS003".to_owned()), "{resp:?}");
     }
 
-    // The ILP breaker is now open: a healthy request is served by the
-    // next rung and labelled degraded, with the diagnostics saying why.
-    let resp = roundtrip(addr, FIG5, Duration::from_secs(10)).expect("degraded response");
-    assert_eq!(status(&resp), "degraded", "{resp:?}");
-    assert_eq!(resp.get("backend").and_then(Json::as_str), Some("exact"));
+    // The exact breaker is now open: a healthy request is served by the
+    // ILP rung, with the diagnostics saying why.
+    let resp = roundtrip(addr, FIG5, Duration::from_secs(10)).expect("fallback response");
+    assert_eq!(status(&resp), "ok", "{resp:?}");
+    assert_eq!(resp.get("backend").and_then(Json::as_str), Some("ilp"));
     assert_eq!(resp.get("cost").and_then(Json::as_u64), Some(4160));
-    assert_eq!(resp.get("proven"), Some(&Json::Bool(true)));
+    assert_eq!(resp.get("relaxation").and_then(Json::as_u64), Some(0));
     let got = codes(&resp);
     assert!(got.contains(&"TS002".to_owned()), "{got:?}");
     assert!(got.contains(&"TR001".to_owned()), "{got:?}");
-    // Degraded outcomes are honest about it: no certificate, and the
-    // TS004 diagnostic says so in-band.
-    assert!(
-        resp.get("certificate").is_none(),
-        "a degraded response must never look certified: {resp:?}"
-    );
-    assert!(got.contains(&"TS004".to_owned()), "{got:?}");
+    // A prover's answer on the original constraints is certified like
+    // any other `ok`, and says nothing about being uncertified.
+    assert!(!got.contains(&"TS004".to_owned()), "{got:?}");
+    assert_certificate_discipline(&resp);
+
+    // It was stored: the same problem again is a cache hit.
+    let again = roundtrip(
+        addr,
+        &FIG5.replace("\"fig5\"", "\"fig5-again\""),
+        Duration::from_secs(10),
+    )
+    .expect("cached response");
+    assert_eq!(status(&again), "ok", "{again:?}");
+    assert_eq!(again.get("cached"), Some(&Json::Bool(true)));
+    assert_eq!(again.get("cost").and_then(Json::as_u64), Some(4160));
 
     service.handle().shutdown();
     let snap = service.join();
     assert_eq!(snap.failed, 2);
-    assert_eq!(snap.completed_degraded, 1);
+    assert_eq!(snap.completed_ok, 2);
+    assert_eq!(snap.completed_degraded, 0);
+    assert_eq!(snap.panics, 0);
+}
+
+/// An answer that really is degraded — here one that only meets
+/// latency-relaxed constraints — is labelled `degraded`, never stored,
+/// and never looks certified: no certificate, and `TS004` says so
+/// in-band beside `TR002`.
+#[test]
+fn relaxed_answers_are_degraded_and_uncertified() {
+    let service = Service::start(ServiceConfig {
+        default_deadline: Duration::from_secs(10),
+        drain_deadline: Duration::from_secs(3),
+        ..ServiceConfig::default()
+    })
+    .expect("bind");
+    let addr = service.local_addr();
+
+    // polynom at its critical path under a 14000 area cap: the forced
+    // concurrency makes λ = 3 infeasible (the exact rung proves it in
+    // milliseconds), and λ = 4 feasible.
+    let line = "{\"id\":\"tight\",\"cmd\":\"synth\",\"benchmark\":\"polynom\",\
+        \"mode\":\"detection\",\"catalog\":\"table1\",\"lambda_det\":3,\"area\":14000,\
+        \"deadline_ms\":5000}";
+    for round in 0..2 {
+        let resp = roundtrip(addr, line, Duration::from_secs(10)).expect("relaxed response");
+        assert_eq!(status(&resp), "degraded", "{resp:?}");
+        assert_eq!(resp.get("relaxation").and_then(Json::as_u64), Some(1));
+        assert!(resp.get("cached").is_none(), "round {round}: {resp:?}");
+        let got = codes(&resp);
+        assert!(got.contains(&"TR002".to_owned()), "{got:?}");
+        assert!(got.contains(&"TS004".to_owned()), "{got:?}");
+        assert!(
+            resp.get("certificate").is_none(),
+            "a degraded response must never look certified: {resp:?}"
+        );
+    }
+
+    service.handle().shutdown();
+    let snap = service.join();
+    assert_eq!(
+        snap.completed_degraded, 2,
+        "degraded answers are not cached"
+    );
+    assert_eq!(snap.cache_hits, 0);
     assert_eq!(snap.panics, 0);
 }
 
@@ -463,14 +500,9 @@ fn exhausted_deadline_yields_a_typed_ts003_error() {
     .expect("bind");
     let addr = service.local_addr();
 
-    // Area 1700 blocks the warm start (greedy bottoms out at 1790), the
-    // 60-op mobility makes the LP outlast 300 ms, so every rung times
-    // out inside an exhausted budget.
-    let line = format!(
-        "{{\"id\":\"storm\",\"cmd\":\"synth\",\"dfg\":\"{}\",\"catalog\":\"table1\",\
-         \"lambda_det\":66,\"lambda_rec\":62,\"area\":1700,\"deadline_ms\":300}}",
-        inline(&chain_dfg("bigchain", 60))
-    );
+    // No rung can decide this problem inside 300 ms, at any relaxation
+    // step, and the grace pass finds no design either.
+    let line = undecidable("storm", 300, false);
     let resp = roundtrip(addr, &line, Duration::from_secs(15)).expect("storm response");
     assert_eq!(status(&resp), "error", "{resp:?}");
     assert_eq!(resp.get("kind").and_then(Json::as_str), Some("deadline"));
