@@ -23,8 +23,7 @@
 //! record, a replica-hit rate more than 10 points below it, or a sweep
 //! in which failover or respawn never fired.
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -40,30 +39,12 @@ const REQUESTS_PER_SEED: usize = 10;
 
 // ---------------------------------------------------------------- client
 
+/// One request on a fresh connection; `None` unless a response line
+/// that parses arrives within `budget`.
 fn roundtrip(addr: SocketAddr, line: &str, budget: Duration) -> Option<Json> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream.set_nodelay(true).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .ok()?;
-    stream.write_all(line.as_bytes()).ok()?;
-    stream.write_all(b"\n").ok()?;
-    let deadline = Instant::now() + budget;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 1024];
-    while Instant::now() < deadline {
-        if let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let text = String::from_utf8_lossy(&buf[..nl]).into_owned();
-            return Json::parse(&text);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => break,
-        }
-    }
-    None
+    troy_service::roundtrip(addr, line, budget)
+        .ok()
+        .and_then(|line| Json::parse(&line))
 }
 
 fn tiny_variant(id: &str, variant: usize, deadline_ms: u64) -> String {

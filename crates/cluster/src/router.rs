@@ -74,7 +74,7 @@
 //! `retry_after_ms`.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -85,8 +85,8 @@ use std::time::{Duration, Instant};
 use troy_analysis::Code;
 use troy_resilience::{Backoff, Chaos, ClusterFault, SelfHealFault};
 use troy_service::{
-    parse_request, request_key, BreakerConfig, BreakerDecision, Cmd, Gate, Json, RejectKind,
-    Request, Response, Service, ServiceConfig, StatsSnapshot, MAX_LINE,
+    parse_request, request_key, roundtrip, serve_frames, BreakerConfig, BreakerDecision, Cmd, Gate,
+    Json, RejectKind, Request, Response, Service, ServiceConfig, StatsSnapshot,
 };
 
 use crate::journal::{Journal, JournalEntry};
@@ -177,8 +177,8 @@ impl Default for ClusterConfig {
     }
 }
 
-/// State shared by the accept loop, every connection, the health thread,
-/// the supervisor and the handle.
+/// State shared by every connection, the health thread, the supervisor
+/// and the handle.
 struct Shared {
     stats: ClusterStats,
     /// Append-only: slots are cordoned or killed, never removed, so
@@ -241,9 +241,7 @@ impl Shared {
 /// A running cluster: router + workers + health loop (+ supervisor and
 /// journal replayer when configured).
 pub struct Cluster {
-    local_addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: JoinHandle<()>,
     health: JoinHandle<()>,
     supervisor: Option<JoinHandle<()>>,
     replayer: Option<JoinHandle<()>>,
@@ -259,7 +257,7 @@ pub struct ClusterHandle {
 
 impl Cluster {
     /// Spawns `config.workers` in-process daemons, binds the router and
-    /// starts the accept and health loops — plus the respawn supervisor
+    /// starts its acceptors and health loop — plus the respawn supervisor
     /// when `respawn` is set, and, with a `journal_dir`, opens the
     /// dispatch journal and replays any incomplete entries from a prior
     /// incarnation through normal dispatch.
@@ -297,8 +295,7 @@ impl Cluster {
             None => (None, Vec::new()),
         };
 
-        let (listener, gate) = Gate::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
+        let gate = Gate::bind(&config.addr)?;
 
         let shared = Arc::new(Shared {
             stats: ClusterStats::default(),
@@ -324,15 +321,13 @@ impl Cluster {
             recent: Mutex::new(Vec::new()),
             repaired: Mutex::new(Vec::new()),
         });
-        let accept = {
+        {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                gate.serve(listener, move |stream| {
-                    ClusterStats::bump(&shared.stats.connections);
-                    handle_connection(stream, &shared);
-                });
-            })
-        };
+            gate.serve(move |stream| {
+                ClusterStats::bump(&shared.stats.connections);
+                handle_connection(stream, &shared);
+            })?;
+        }
         let health = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || health_loop(&shared))
@@ -346,9 +341,7 @@ impl Cluster {
             std::thread::spawn(move || replay_journal(&shared, replay))
         });
         Ok(Cluster {
-            local_addr,
             shared,
-            accept,
             health,
             supervisor,
             replayer,
@@ -359,7 +352,7 @@ impl Cluster {
     /// The router's bound address.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.gate.local_addr()
     }
 
     /// A steering handle, cloneable across threads.
@@ -381,9 +374,9 @@ impl Cluster {
     /// daemon, and returns the final router counters.
     #[must_use]
     pub fn join(self) -> ClusterSnapshot {
-        // The accept loop returns only once a drain has begun; the
+        // The accept side closes only once a drain has begun; the
         // background loops wake from their pause on the same signal.
-        let _ = self.accept.join();
+        self.shared.gate.wait_closed();
         let _ = self.health.join();
         if let Some(supervisor) = self.supervisor {
             let _ = supervisor.join();
@@ -771,92 +764,35 @@ fn replay_journal(shared: &Arc<Shared>, entries: Vec<JournalEntry>) {
     }
 }
 
-/// Reads frames off one router connection (same bounded-frame contract
-/// as the daemon: `MAX_LINE`, slowloris deadline, one response per
-/// request).
+/// Serves one router connection's frames with the daemon's bounded-frame
+/// contract (see [`serve_frames`]).
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let mut stream = stream;
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_nodelay(true);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let mut frame_start: Option<Instant> = None;
-    loop {
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=nl).collect();
-            frame_start = if buf.is_empty() {
-                None
-            } else {
-                Some(Instant::now())
-            };
-            let line = String::from_utf8_lossy(&line[..nl]).into_owned();
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serve_line(&line, shared, &mut stream) {
-                LineVerdict::KeepGoing => {}
-                LineVerdict::Close => return,
-            }
-        }
-        if shared.is_draining() {
-            return;
-        }
-        if buf.len() > MAX_LINE {
-            let reject = Response::reject(
-                None,
-                RejectKind::Malformed,
-                format!("frame exceeds the {MAX_LINE}-byte line limit"),
-            );
+    serve_frames(
+        stream,
+        &shared.gate,
+        shared.frame_deadline,
+        |stream, line| serve_line(line, shared, stream),
+        |stream, msg| {
             ClusterStats::bump(&shared.stats.malformed);
-            let _ = write_line(&mut stream, &reject.render_with(&shared.stats_json()));
-            return;
-        }
-        if let Some(t0) = frame_start {
-            if t0.elapsed() > shared.frame_deadline {
-                let reject = Response::reject(
-                    None,
-                    RejectKind::Malformed,
-                    format!(
-                        "partial frame: no newline within {:?} of the first byte",
-                        shared.frame_deadline
-                    ),
-                );
-                ClusterStats::bump(&shared.stats.malformed);
-                let _ = write_line(&mut stream, &reject.render_with(&shared.stats_json()));
-                return;
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => {
-                if buf.is_empty() && frame_start.is_none() {
-                    frame_start = Some(Instant::now());
-                }
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => return,
-        }
-    }
-}
-
-enum LineVerdict {
-    KeepGoing,
-    Close,
+            let reject = Response::reject(None, RejectKind::Malformed, msg);
+            let _ = write_line(stream, &reject.render_with(&shared.stats_json()));
+        },
+    );
 }
 
 /// Parses and routes one frame, writing exactly one response line. An
 /// accepted `synth` is journaled before dispatch and marked completed
 /// after its response line is written (or the client proved gone), so a
-/// router crash in between replays it on restart.
-fn serve_line(line: &str, shared: &Arc<Shared>, stream: &mut TcpStream) -> LineVerdict {
+/// router crash in between replays it on restart. Returns whether to
+/// keep the connection.
+fn serve_line(line: &str, shared: &Arc<Shared>, stream: &mut TcpStream) -> bool {
     let request = match parse_request(line) {
         Ok(r) => r,
         Err(msg) => {
             ClusterStats::bump(&shared.stats.malformed);
             let reject = Response::reject(None, RejectKind::Malformed, msg);
             let _ = write_line(stream, &reject.render_with(&shared.stats_json()));
-            return LineVerdict::Close;
+            return false;
         }
     };
     let journal_seq = match (&shared.journal, request.cmd) {
@@ -895,11 +831,7 @@ fn serve_line(line: &str, shared: &Arc<Shared>, stream: &mut TcpStream) -> LineV
         // an entry pending.
         journal.completed(seq);
     }
-    if !write_ok || close_after {
-        LineVerdict::Close
-    } else {
-        LineVerdict::KeepGoing
-    }
+    write_ok && !close_after
 }
 
 fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
@@ -1471,43 +1403,6 @@ fn deadline_error(request: &Request, failovers: usize, shared: &Arc<Shared>) -> 
         r.codes.push(Code::WorkerFailover.as_str().to_owned());
     }
     r.render_with(&shared.stats_json())
-}
-
-/// One full request/response round trip against a worker: connect,
-/// send the frame, read one line within `budget`.
-fn roundtrip(addr: SocketAddr, line: &str, budget: Duration) -> std::io::Result<String> {
-    let t_end = Instant::now() + budget;
-    let mut stream = TcpStream::connect_timeout(&addr, budget.min(Duration::from_secs(1)))?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    let mut out = String::with_capacity(line.len() + 1);
-    out.push_str(line);
-    out.push('\n');
-    stream.write_all(out.as_bytes())?;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            return Ok(String::from_utf8_lossy(&buf[..nl]).into_owned());
-        }
-        if Instant::now() >= t_end {
-            return Err(std::io::Error::new(
-                ErrorKind::TimedOut,
-                "no response line within the dispatch budget",
-            ));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "worker closed before responding",
-                ))
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// The torn-frame chaos fault: deliver roughly half the frame, no

@@ -18,56 +18,48 @@ use std::time::{Duration, Instant};
 
 use troy_cluster::{Cluster, ClusterConfig, WorkerState};
 use troy_resilience::Chaos;
-use troy_service::{parse_request, BreakerConfig, Json, Service, ServiceConfig};
+use troy_service::{parse_request, BreakerConfig, Json, Service, ServiceConfig, MAX_LINE};
 
 // ---------------------------------------------------------------- clients
 
-fn connect(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .expect("read timeout");
-    stream.set_nodelay(true).expect("nodelay");
-    stream
-}
-
-fn send(stream: &mut TcpStream, line: &str) {
-    stream.write_all(line.as_bytes()).expect("write frame");
-    stream.write_all(b"\n").expect("write newline");
-}
-
-/// Reads one response line within `budget`; `None` on EOF or timeout.
-fn read_line(stream: &mut TcpStream, budget: Duration) -> Option<String> {
-    let deadline = Instant::now() + budget;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 1024];
-    while Instant::now() < deadline {
-        if let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            return Some(String::from_utf8_lossy(&buf[..nl]).into_owned());
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => break,
-        }
-    }
-    buf.iter()
-        .position(|&b| b == b'\n')
-        .map(|nl| String::from_utf8_lossy(&buf[..nl]).into_owned())
-}
-
-/// One request on a fresh connection; returns the raw response line.
+/// One request on a fresh connection; returns the raw response line,
+/// or `None` when none arrives within `budget`.
 fn roundtrip_raw(addr: SocketAddr, line: &str, budget: Duration) -> Option<String> {
-    let mut stream = connect(addr);
-    send(&mut stream, line);
-    read_line(&mut stream, budget)
+    match troy_service::roundtrip(addr, line, budget) {
+        Ok(line) => Some(line),
+        Err(e) if e.kind() == ErrorKind::ConnectionRefused => panic!("connect: {e}"),
+        Err(_) => None,
+    }
 }
 
 /// One request on a fresh connection; returns the parsed response.
 fn roundtrip(addr: SocketAddr, line: &str, budget: Duration) -> Option<Json> {
     let line = roundtrip_raw(addr, line, budget)?;
     Some(Json::parse(&line).unwrap_or_else(|| panic!("response must parse: {line}")))
+}
+
+/// A `ping` frame padded with insignificant whitespace to exactly `len`
+/// bytes (newline excluded).
+fn padded_ping(len: usize) -> String {
+    let head = "{\"id\":\"p\",\"cmd\":\"ping\"";
+    format!("{head}{}}}", " ".repeat(len - head.len() - 1))
+}
+
+/// Sends `line` on a fresh connection and reads until the server closes
+/// it; returns everything it wrote.
+fn send_until_closed(addr: SocketAddr, line: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("write frame");
+    let mut out = Vec::new();
+    stream
+        .read_to_end(&mut out)
+        .expect("the server closes the connection");
+    String::from_utf8(out).expect("utf-8 response")
 }
 
 fn status(resp: &Json) -> &str {
@@ -514,6 +506,31 @@ fn router_rejects_malformed_frames_with_a_typed_diagnosis() {
     let _ = cluster.join();
 }
 
+/// The router frames with the daemon's reader: a line of exactly
+/// `MAX_LINE` bytes is routed, one byte more is refused `malformed` and
+/// its connection closed.
+#[test]
+fn router_enforces_the_line_limit_on_the_line_itself() {
+    let cluster = Cluster::start(ClusterConfig::default()).expect("cluster");
+    let router = cluster.local_addr();
+    let at_limit = padded_ping(MAX_LINE);
+    assert_eq!(at_limit.len(), MAX_LINE);
+    let resp = roundtrip(router, &at_limit, Duration::from_secs(10))
+        .expect("a line of exactly MAX_LINE bytes is served");
+    assert_eq!(status(&resp), "pong", "{resp:?}");
+
+    let reply = send_until_closed(router, &padded_ping(MAX_LINE + 1));
+    let lines: Vec<&str> = reply.lines().collect();
+    assert_eq!(lines.len(), 1, "one diagnosis, then the close: {reply}");
+    let resp = Json::parse(lines[0]).expect("the rejection parses");
+    assert_eq!(status(&resp), "rejected", "{resp:?}");
+    assert_eq!(resp.get("kind").and_then(Json::as_str), Some("malformed"));
+    assert_eq!(stat(&resp, "malformed"), 1);
+
+    cluster.handle().shutdown();
+    let _ = cluster.join();
+}
+
 /// Polls `probe` until it returns true or `budget` elapses.
 fn wait_for(budget: Duration, mut probe: impl FnMut() -> bool) -> bool {
     let deadline = Instant::now() + budget;
@@ -553,9 +570,12 @@ fn killed_owner_serves_the_hot_key_from_a_replica_without_a_resolve() {
 
     // The write-behind put is asynchronous; wait for it to land on a
     // successor (its `put_stores` counter proves the certified-store
-    // gate accepted the entry).
+    // gate accepted the entry) and for the router to have read the
+    // successor's answer (`replicas_put`, asserted below).
     let landed = wait_for(Duration::from_secs(5), || {
-        (0..3).any(|i| i != owner && handle.worker_stats(i).is_some_and(|s| s.put_stores >= 1))
+        handle.stats().replicas_put >= 1
+            && (0..3)
+                .any(|i| i != owner && handle.worker_stats(i).is_some_and(|s| s.put_stores >= 1))
     });
     assert!(landed, "write-behind must replicate the fresh entry");
     let replica = (0..3)

@@ -27,11 +27,13 @@ pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod stats;
+pub mod wire;
 
 pub use admission::{Admission, Admitted, Permit};
 pub use breaker::{Breaker, BreakerConfig, BreakerDecision, Breakers};
 pub use gate::Gate;
 pub use json::{escape, Json};
 pub use protocol::{parse_request, Cmd, RejectKind, Request, Response};
-pub use server::{build_problem, request_key, Service, ServiceConfig, ServiceHandle, MAX_LINE};
+pub use server::{build_problem, request_key, Service, ServiceConfig, ServiceHandle};
 pub use stats::{ServiceStats, StatsSnapshot};
+pub use wire::{roundtrip, serve_frames, MAX_LINE};

@@ -1,7 +1,8 @@
 //! The hardened synthesis daemon.
 //!
-//! One accept loop, one thread per connection, newline-delimited JSON
-//! frames. Every layer is bounded:
+//! Acceptor threads that serve the connection they accept
+//! ([`crate::gate`]), newline-delimited JSON frames ([`crate::wire`]).
+//! Every layer is bounded:
 //!
 //! - **Admission** — at most `max_inflight` concurrent syntheses plus a
 //!   `queue_depth`-bounded wait queue; past that, requests are shed with
@@ -16,24 +17,24 @@
 //!   [`Cancellation`] children of a server root token, so a drain can
 //!   cancel all in-flight work at once.
 //! - **Frames** — a connection may dribble a frame (slowloris) for at
-//!   most `frame_deadline` and a line may be at most [`MAX_LINE`] bytes;
-//!   violations close the connection.
+//!   most `frame_deadline` and a line may be at most
+//!   [`MAX_LINE`](crate::MAX_LINE) bytes; violations close the
+//!   connection.
 //! - **Panics** — request handling runs under `catch_unwind`; a
 //!   poisoned request yields an `internal` error and closes that one
 //!   connection, never the daemon.
 //!
 //! Graceful drain: a `shutdown` request (or [`ServiceHandle::shutdown`])
-//! stops the accept loop, lets in-flight requests finish within
+//! closes the listener, lets in-flight requests finish within
 //! `drain_deadline`, then cancels the root token and gives stragglers a
 //! short grace before [`Service::join`] returns the final counters.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use troy_dfg::{benchmarks, parse_dfg};
@@ -49,11 +50,9 @@ use crate::breaker::{BreakerConfig, Breakers};
 use crate::gate::Gate;
 use crate::protocol::{parse_request, Cmd, RejectKind, Request, Response};
 use crate::stats::{ServiceStats, StatsSnapshot};
+use crate::wire::serve_frames;
 
 use troy_analysis::Code;
-
-/// Hard bound on one request line; longer frames are hostile.
-pub const MAX_LINE: usize = 256 * 1024;
 
 /// How the daemon runs.
 #[derive(Debug, Clone)]
@@ -95,7 +94,7 @@ impl Default for ServiceConfig {
     }
 }
 
-/// State shared by the accept loop, every connection, and the handle.
+/// State shared by every connection and the handle.
 struct Shared {
     stats: ServiceStats,
     admission: Admission,
@@ -168,14 +167,12 @@ impl ServiceHandle {
 
 /// A running daemon.
 pub struct Service {
-    local_addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: JoinHandle<()>,
     drain_deadline: Duration,
 }
 
 impl Service {
-    /// Binds `config.addr` and starts the accept loop.
+    /// Binds `config.addr` and starts accepting.
     ///
     /// # Errors
     /// Propagates bind/cache-directory I/O failures.
@@ -191,8 +188,7 @@ impl Service {
             cache_dir,
             chaos,
         } = config;
-        let (listener, gate) = Gate::bind(&addr)?;
-        let local_addr = listener.local_addr()?;
+        let gate = Gate::bind(&addr)?;
         let cache = match cache_dir {
             Some(dir) => ResultCache::on_disk(dir)?,
             None => ResultCache::in_memory(),
@@ -209,19 +205,15 @@ impl Service {
             default_deadline,
             frame_deadline,
         });
-        let accept = {
+        {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                gate.serve(listener, move |stream| {
-                    ServiceStats::bump(&shared.stats.connections);
-                    handle_connection(stream, &shared);
-                });
-            })
-        };
+            gate.serve(move |stream| {
+                ServiceStats::bump(&shared.stats.connections);
+                handle_connection(stream, &shared);
+            })?;
+        }
         Ok(Service {
-            local_addr,
             shared,
-            accept,
             drain_deadline,
         })
     }
@@ -229,7 +221,7 @@ impl Service {
     /// The bound address (useful with `:0`).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.gate.local_addr()
     }
 
     /// A drain handle, cloneable across threads.
@@ -256,9 +248,9 @@ impl Service {
     /// are abandoned (their threads die with the process).
     #[must_use]
     pub fn join(self) -> StatsSnapshot {
-        // The accept loop returns only once a drain has begun.
-        let _ = self.accept.join();
+        // The accept side closes only once a drain has begun.
         let gate = &self.shared.gate;
+        gate.wait_closed();
         gate.wait_idle(Instant::now() + self.drain_deadline);
         // Past the drain deadline: cancel everything still running and
         // give it one bounded grace to unwind through the token checks.
@@ -268,86 +260,25 @@ impl Service {
     }
 }
 
-/// Reads frames off one connection until it closes, misbehaves, or the
-/// daemon drains. Never panics out: request handling is firewalled.
+/// Serves one connection's frames (see [`serve_frames`]). Never panics
+/// out: request handling is firewalled.
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let mut stream = stream;
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_nodelay(true);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    // Start of the frame currently being assembled, set when its first
-    // byte arrives: the slowloris clock.
-    let mut frame_start: Option<Instant> = None;
-    loop {
-        // Drain a complete line if one is buffered.
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=nl).collect();
-            frame_start = if buf.is_empty() {
-                None
-            } else {
-                Some(Instant::now())
-            };
-            let line = String::from_utf8_lossy(&line[..nl]).into_owned();
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serve_line(&line, shared, &mut stream) {
-                LineVerdict::KeepGoing => {}
-                LineVerdict::Close => return,
-            }
-        }
-        if shared.is_draining() {
-            // Idle (or mid-frame) connection during a drain: nothing
-            // in-flight here, so close.
-            return;
-        }
-        if buf.len() > MAX_LINE {
-            let reject = Response::reject(
-                None,
-                RejectKind::Malformed,
-                format!("frame exceeds the {MAX_LINE}-byte line limit"),
-            );
+    serve_frames(
+        stream,
+        &shared.gate,
+        shared.frame_deadline,
+        |stream, line| serve_line(line, shared, stream),
+        |stream, msg| {
             ServiceStats::bump(&shared.stats.malformed);
-            let _ = write_response(&mut stream, &reject, shared);
-            return;
-        }
-        if let Some(t0) = frame_start {
-            if t0.elapsed() > shared.frame_deadline {
-                let reject = Response::reject(
-                    None,
-                    RejectKind::Malformed,
-                    format!(
-                        "partial frame: no newline within {:?} of the first byte",
-                        shared.frame_deadline
-                    ),
-                );
-                ServiceStats::bump(&shared.stats.malformed);
-                let _ = write_response(&mut stream, &reject, shared);
-                return;
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed; any partial frame is dropped
-            Ok(n) => {
-                if buf.is_empty() && frame_start.is_none() {
-                    frame_start = Some(Instant::now());
-                }
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => return,
-        }
-    }
+            let reject = Response::reject(None, RejectKind::Malformed, msg);
+            let _ = write_response(stream, &reject, shared);
+        },
+    );
 }
 
-enum LineVerdict {
-    KeepGoing,
-    Close,
-}
-
-/// Parses and executes one frame, writing exactly one response line.
-fn serve_line(line: &str, shared: &Arc<Shared>, stream: &mut TcpStream) -> LineVerdict {
+/// Parses and executes one frame, writing exactly one response line;
+/// returns whether to keep the connection.
+fn serve_line(line: &str, shared: &Arc<Shared>, stream: &mut TcpStream) -> bool {
     let request = match parse_request(line) {
         Ok(r) => r,
         Err(msg) => {
@@ -356,7 +287,7 @@ fn serve_line(line: &str, shared: &Arc<Shared>, stream: &mut TcpStream) -> LineV
             // A peer speaking a broken protocol gets one diagnosis, then
             // the connection closes: no error loops.
             let _ = write_response(stream, &reject, shared);
-            return LineVerdict::Close;
+            return false;
         }
     };
     let id = request.id.clone();
@@ -380,11 +311,7 @@ fn serve_line(line: &str, shared: &Arc<Shared>, stream: &mut TcpStream) -> LineV
         }
     };
     let panicked = response.kind == Some(RejectKind::Internal);
-    if write_response(stream, &response, shared).is_err() || close_after || panicked {
-        LineVerdict::Close
-    } else {
-        LineVerdict::KeepGoing
-    }
+    write_response(stream, &response, shared).is_ok() && !close_after && !panicked
 }
 
 fn write_response(

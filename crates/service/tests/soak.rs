@@ -17,7 +17,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use troy_resilience::{Chaos, ServiceFault};
-use troy_service::{BreakerConfig, Json, Service, ServiceConfig};
+use troy_service::{BreakerConfig, Json, Service, ServiceConfig, MAX_LINE};
 
 // ---------------------------------------------------------------- clients
 
@@ -56,12 +56,41 @@ fn read_line(stream: &mut TcpStream, budget: Duration) -> Option<String> {
         .map(|nl| String::from_utf8_lossy(&buf[..nl]).into_owned())
 }
 
-/// One request on a fresh connection; returns the parsed response.
+/// One request on a fresh connection; returns the parsed response, or
+/// `None` when none arrives within `budget`.
 fn roundtrip(addr: SocketAddr, line: &str, budget: Duration) -> Option<Json> {
-    let mut stream = connect(addr);
-    send(&mut stream, line);
-    let line = read_line(&mut stream, budget)?;
+    let line = match troy_service::roundtrip(addr, line, budget) {
+        Ok(line) => line,
+        Err(e) if e.kind() == ErrorKind::ConnectionRefused => {
+            panic!("connect to the daemon: {e}")
+        }
+        Err(_) => return None,
+    };
     Some(Json::parse(&line).unwrap_or_else(|| panic!("response must parse: {line}")))
+}
+
+/// A `ping` frame padded with insignificant whitespace to exactly `len`
+/// bytes (newline excluded).
+fn padded_ping(len: usize) -> String {
+    let head = "{\"id\":\"p\",\"cmd\":\"ping\"";
+    format!("{head}{}}}", " ".repeat(len - head.len() - 1))
+}
+
+/// Sends `line` on a fresh connection and reads until the server closes
+/// it; returns everything it wrote.
+fn send_until_closed(addr: SocketAddr, line: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("write frame");
+    let mut out = Vec::new();
+    stream
+        .read_to_end(&mut out)
+        .expect("the server closes the connection");
+    String::from_utf8(out).expect("utf-8 response")
 }
 
 fn status(resp: &Json) -> &str {
@@ -637,5 +666,61 @@ fn seeded_soak_terminates_every_request_with_a_typed_outcome() {
         snap.malformed,
         (malformed_sent + slowloris_sent) as u64,
         "every hostile frame is diagnosed exactly once: {snap:?}"
+    );
+}
+
+/// The line limit binds the line, however the bytes arrive: a line of
+/// exactly `MAX_LINE` bytes is served, one byte more is refused even
+/// when its newline comes in the read that crosses the limit.
+#[test]
+fn daemon_enforces_the_line_limit_on_the_line_itself() {
+    let service = Service::start(ServiceConfig::default()).expect("start");
+    let addr = service.local_addr();
+    let at_limit = padded_ping(MAX_LINE);
+    assert_eq!(at_limit.len(), MAX_LINE);
+    let resp = roundtrip(addr, &at_limit, Duration::from_secs(10))
+        .expect("a line of exactly MAX_LINE bytes is served");
+    assert_eq!(status(&resp), "pong", "{resp:?}");
+
+    let reply = send_until_closed(addr, &padded_ping(MAX_LINE + 1));
+    let lines: Vec<&str> = reply.lines().collect();
+    assert_eq!(lines.len(), 1, "one diagnosis, then the close: {reply}");
+    let resp = Json::parse(lines[0]).expect("the rejection parses");
+    assert_eq!(status(&resp), "rejected", "{resp:?}");
+    assert_eq!(resp.get("kind").and_then(Json::as_str), Some("malformed"));
+    assert_eq!(stat(&resp, "malformed"), 1);
+
+    service.handle().shutdown();
+    let _ = service.join();
+}
+
+/// A drain wakes each parked acceptor with a loopback connect of its
+/// own; the daemon counts none of those as a client connection, and
+/// refuses connects once it has drained.
+#[test]
+fn drain_counts_only_real_client_connections() {
+    let service = Service::start(ServiceConfig::default()).expect("start");
+    let addr = service.local_addr();
+    // Four clients at once leave several acceptors parked when they go.
+    let clients: Vec<TcpStream> = (0..4)
+        .map(|i| {
+            let mut stream = connect(addr);
+            send(
+                &mut stream,
+                &format!("{{\"id\":\"c{i}\",\"cmd\":\"ping\"}}"),
+            );
+            let resp = read_line(&mut stream, Duration::from_secs(5)).expect("pong");
+            assert_eq!(status(&Json::parse(&resp).expect("parses")), "pong");
+            stream
+        })
+        .collect();
+    drop(clients);
+
+    service.handle().shutdown();
+    let stats = service.join();
+    assert_eq!(stats.connections, 4, "only the four clients are counted");
+    assert!(
+        TcpStream::connect(addr).is_err(),
+        "a drained daemon refuses"
     );
 }
