@@ -2,20 +2,39 @@
 //!
 //! ```text
 //! cargo run --release -p troy-bench --bin tables -- [table1|table3|table4|fig5|overhead|all]
+//! cargo run --release -p troy-bench --bin tables -- --json   # regenerate BENCH_tables.json
+//! cargo run --release -p troy-bench --bin tables -- --check  # gate against the committed file
 //! ```
+//!
+//! `--json` records Fig. 5 and all 24 rows of Tables 3 and 4 — cost, the
+//! `proven` flag and u/t/v — in `BENCH_tables.json` at the repo root.
+//! Each row is solved by the exact solver under [`harness_options`],
+//! whose node limit is the only budget that binds: every row solves in
+//! well under a millisecond against a 60 s time limit, so the record
+//! reproduces on any machine. `--check` re-solves every row and fails
+//! unless every field equals the committed record.
+
+use std::fmt::Write as _;
+use std::path::PathBuf;
 
 use troy_bench::{
     format_table, harness_options, motivational_problem, run_rows, table3_specs, table4_specs,
+    RowResult, RowSpec,
 };
 use troy_dfg::{benchmarks, IpTypeId};
 use troy_portfolio::BatchConfig;
 use troyhls::{
-    unprotected_cost, Catalog, ExactSolver, Mode, SolveOptions, SynthesisProblem, Synthesizer,
+    unprotected_cost, Catalog, DesignStats, ExactSolver, Mode, SolveOptions, SynthesisProblem,
+    Synthesizer,
 };
 
 fn main() {
-    let what = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
-    match what.as_str() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--json" || a == "--check") {
+        std::process::exit(record(args.iter().any(|a| a == "--check")));
+    }
+    let what = args.first().map_or("all", String::as_str);
+    match what {
         "table1" => table1(),
         "table3" => table(3),
         "table4" => table(4),
@@ -29,7 +48,10 @@ fn main() {
             overhead();
         }
         other => {
-            eprintln!("unknown table `{other}`; expected table1|table3|table4|fig5|overhead|all");
+            eprintln!(
+                "unknown table `{other}`; expected table1|table3|table4|fig5|overhead|all, \
+                 --json or --check"
+            );
             std::process::exit(2);
         }
     }
@@ -81,8 +103,9 @@ fn fig5() {
     println!();
 }
 
-fn table(which: usize) {
-    let (title, specs) = if which == 3 {
+/// The title and rows of Table 3 or Table 4.
+fn table_specs(which: usize) -> (&'static str, Vec<RowSpec>) {
+    if which == 3 {
         (
             "Table 3 — designs with detection only (8-vendor catalog)",
             table3_specs(),
@@ -92,15 +115,24 @@ fn table(which: usize) {
             "Table 4 — designs with detection and recovery (8-vendor catalog)",
             table4_specs(),
         )
-    };
-    // Rows are independent: spread them over the batch pool (TROY_JOBS or
-    // the machine width) with the same exact engine as before.
+    }
+}
+
+/// Solves every row of Table 3 or Table 4. Rows are independent: spread
+/// them over the batch pool (TROY_JOBS or the machine width) with the
+/// same exact engine as [`troy_bench::run_row`].
+fn solve_table(specs: &[RowSpec]) -> Vec<RowResult> {
     let config = BatchConfig {
         portfolio: false,
         options: harness_options(),
         ..BatchConfig::default()
     };
-    let results = run_rows(&specs, &config, None);
+    run_rows(specs, &config, None)
+}
+
+fn table(which: usize) {
+    let (title, specs) = table_specs(which);
+    let results = solve_table(&specs);
     println!("{}", format_table(title, &results));
     // The paper's headline observation: detection-only underestimates the
     // diversity (and cost) a recoverable design needs.
@@ -111,6 +143,93 @@ fn table(which: usize) {
         );
     }
     println!();
+}
+
+/// Renders the record: one line per row, every field deterministic.
+fn render_record() -> String {
+    let mut lines = Vec::new();
+    let p = motivational_problem();
+    let fig5 = ExactSolver::new()
+        .synthesize(&p, &harness_options())
+        .ok()
+        .map(|s| (s.implementation.stats(&p), s.proven_optimal));
+    lines.push(record_line("fig5", fig5));
+    for which in [3, 4] {
+        let (_, specs) = table_specs(which);
+        for r in solve_table(&specs) {
+            let name = format!("table{which}-{}-l{}", r.spec.benchmark, r.spec.lambda);
+            lines.push(record_line(&name, r.stats.map(|s| (s, r.proven_optimal))));
+        }
+    }
+    let mut out = String::new();
+    out.push_str("{\n  \"schema\": 1,\n");
+    out.push_str(
+        "  \"note\": \"exact solver under harness_options; every field is deterministic and gated for equality\",\n",
+    );
+    out.push_str("  \"rows\": [\n");
+    for (i, line) in lines.iter().enumerate() {
+        let sep = if i + 1 < lines.len() { "," } else { "" };
+        let _ = writeln!(out, "    {line}{sep}");
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
+/// One row of the record; a row without a design records `null` cost and
+/// u/t/v.
+fn record_line(name: &str, solved: Option<(DesignStats, bool)>) -> String {
+    match solved {
+        Some((s, proven)) => format!(
+            "{{ \"name\": \"{name}\", \"cost\": {}, \"proven\": {proven}, \"u\": {}, \"t\": {}, \"v\": {} }}",
+            s.license_cost, s.instances_used, s.licenses_used, s.vendors_used
+        ),
+        None => format!(
+            "{{ \"name\": \"{name}\", \"cost\": null, \"proven\": false, \"u\": null, \"t\": null, \"v\": null }}"
+        ),
+    }
+}
+
+/// Repo-root path of the committed tables record.
+fn bench_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_tables.json")
+}
+
+/// `--json` writes the record; `--check` compares it line by line with
+/// the committed file and returns the process exit code.
+fn record(check: bool) -> i32 {
+    let fresh = render_record();
+    let path = bench_path();
+    if !check {
+        std::fs::write(&path, &fresh).expect("write BENCH_tables.json");
+        println!("wrote {}", path.display());
+        return 0;
+    }
+    let Ok(committed) = std::fs::read_to_string(&path) else {
+        eprintln!("FAIL: no committed record at {}", path.display());
+        return 1;
+    };
+    let (committed, fresh): (Vec<&str>, Vec<&str>) =
+        (committed.lines().collect(), fresh.lines().collect());
+    let mut failures = 0;
+    for i in 0..committed.len().max(fresh.len()) {
+        let (c, f) = (committed.get(i), fresh.get(i));
+        if c != f {
+            eprintln!(
+                "FAIL: line {}\n  committed: {}\n  fresh:     {}",
+                i + 1,
+                c.unwrap_or(&"<missing>"),
+                f.unwrap_or(&"<missing>")
+            );
+            failures += 1;
+        }
+    }
+    if failures > 0 {
+        eprintln!("FAIL: {failures} line(s) differ from the committed record");
+        1
+    } else {
+        println!("every row matches the committed record");
+        0
+    }
 }
 
 /// Derived table: the license-cost price of each protection level relative

@@ -124,15 +124,15 @@ fn canonical(line: &str) -> String {
 // ----------------------------------------------------------- problem zoo
 
 /// A deterministic slow request that still ends `ok`: diff2 at λ = 40
-/// under a 30000 area cap, where the exact rung spends its whole node
+/// under a 21300 area cap, where the exact rung spends its whole node
 /// budget on every cheaper license set — seconds of fixed work — before
-/// it settles on a best-effort design. `no_degrade` keeps it on that
+/// it settles on a best-effort design ($4440). `no_degrade` keeps it on that
 /// rung; the generous deadline is headroom for a loaded machine, not
 /// part of any contract.
 fn slow_synth(id: &str) -> String {
     format!(
         "{{\"id\":\"{id}\",\"cmd\":\"synth\",\"benchmark\":\"diff2\",\"mode\":\"detection\",\
-         \"catalog\":\"paper8\",\"lambda_det\":40,\"area\":30000,\"deadline_ms\":25000,\
+         \"catalog\":\"paper8\",\"lambda_det\":40,\"area\":21300,\"deadline_ms\":25000,\
          \"no_degrade\":true}}"
     )
 }

@@ -9,6 +9,14 @@
 //! check was cut short by the budget — in that case the result is flagged
 //! best-effort (`proven_optimal = false`), exactly like the `*` rows in the
 //! paper's tables.
+//!
+//! Each subset's feasibility check first refutes or finds a vendor
+//! coloring that satisfies the diversity rules, ignoring cycles. It then
+//! tries, in order: a first descent capped at four nodes per copy; a
+//! descent with every copy's vendor pinned to that coloring, searching
+//! only the cycles; a burst of randomized restarts; and an exhaustive
+//! pass with the rest of the node budget. A pinned dead end refutes one
+//! coloring, not the subset, so only a pinned success counts.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -240,6 +248,16 @@ enum Feasibility {
     TimedOut,
 }
 
+/// Outcome of [`SearchContext::vendor_coloring`].
+enum Coloring {
+    /// A diversity-respecting vendor per copy, indexed by copy index.
+    Found(Vec<Option<VendorId>>),
+    /// No vendor coloring exists: the subset is infeasible.
+    Impossible,
+    /// The node budget ran out first.
+    Unknown,
+}
+
 /// Copy index: `role.index() * n + op.index()`.
 fn cidx(n: usize, c: OpCopy) -> usize {
     c.role.index() * n + c.op.index()
@@ -352,9 +370,18 @@ impl SearchContext {
         }
     }
 
-    /// Feasibility check for one license subset: a deterministic greedy
-    /// descent, a burst of randomized-restart descents, then an exhaustive
-    /// backtracking pass with the remaining node budget.
+    /// Feasibility check for one license subset. The attempts, in order:
+    ///
+    /// 1. a first descent capped at four nodes per copy — enough for a
+    ///    greedy descent with little backtracking;
+    /// 2. a *pinned* descent: every copy's vendor is fixed to the coloring
+    ///    [`Self::vendor_coloring`] found, so only the cycles are searched;
+    /// 3. a burst of randomized-restart descents;
+    /// 4. an exhaustive backtracking pass with the rest of `node_limit`.
+    ///
+    /// `Exhausted` from any unpinned attempt proves the subset infeasible:
+    /// randomization only reorders the candidates. The pinned descent
+    /// refutes one coloring, not the subset, so only its `Found` counts.
     fn feasible(
         &self,
         problem: &SynthesisProblem,
@@ -363,91 +390,56 @@ impl SearchContext {
         start: Instant,
         options: &SolveOptions,
     ) -> Feasibility {
-        let num_vendors = problem.catalog().num_vendors();
-        let mut vendors_of_type: Vec<Vec<VendorId>> = vec![Vec::new(); IpTypeId::COUNT];
-        for l in licensed {
-            vendors_of_type[l.ip_type.index()].push(l.vendor);
-        }
-        for &t in &self.needed_types {
-            if vendors_of_type[t.index()].is_empty() {
-                return Feasibility::Infeasible;
-            }
-        }
-        // Cheapest instantiable area per type (for the in-search bound).
-        let mut min_area = [u64::MAX; IpTypeId::COUNT];
-        for &t in &self.needed_types {
-            for &v in &vendors_of_type[t.index()] {
-                let a = problem
-                    .catalog()
-                    .offering(v, t)
-                    .map_or(u64::MAX, |o| o.area);
-                min_area[t.index()] = min_area[t.index()].min(a);
-            }
-        }
+        let Some((vendors_of_type, min_area)) = self.subset(problem, licensed) else {
+            return Feasibility::Infeasible;
+        };
 
         // Vendor-colorability pre-check: the diversity rules are
         // cycle-independent, so an uncolorable subset is infeasible no
         // matter the schedule — and refuting the coloring alone avoids
         // multiplying the conflict by every cycle permutation.
-        if let Some(false) = self.vendor_colorable(&vendors_of_type, node_limit) {
-            return Feasibility::Infeasible;
-        }
+        let coloring = match self.vendor_coloring(&vendors_of_type, node_limit) {
+            Coloring::Impossible => return Feasibility::Infeasible,
+            Coloring::Found(color) => Some(color),
+            Coloring::Unknown => None,
+        };
+        let pin = coloring.as_deref();
 
-        // Restart schedule: quick greedy probes find feasible schedules on
-        // easy subsets; the final exhaustive pass proves infeasibility (or
-        // runs out of budget -> Unknown).
+        // Restart schedule: quick probes find feasible schedules on easy
+        // subsets; the final exhaustive pass proves infeasibility (or runs
+        // out of budget -> Unknown). The budgets sum to `node_limit`,
+        // except that the exhaustive pass gets at least one probe's worth.
+        let first_budget = (4 * self.order.len()).min(node_limit);
+        let pinned_budget = pin.map_or(0, |_| node_limit.min(20_000));
         let probe_budget = (node_limit / 20).clamp(500, 20_000);
-        let probes = 6usize;
-        let exhaustive_budget = node_limit.saturating_sub(probe_budget * probes);
-        let mut schedule: Vec<(usize, u64)> = Vec::new(); // (budget, rng seed)
-        for (i, _) in (0..probes).enumerate() {
-            schedule.push((probe_budget, i as u64));
+        let probes = 6;
+        let exhaustive_budget = node_limit
+            .saturating_sub(first_budget + pinned_budget + probe_budget * probes)
+            .max(probe_budget);
+        // (budget, rng seed, pinned coloring)
+        let mut schedule = vec![(first_budget, 0, None)];
+        if pin.is_some() {
+            schedule.push((pinned_budget, u64::MAX, pin));
         }
-        schedule.push((exhaustive_budget.max(probe_budget), u64::MAX));
+        schedule.extend((0..probes as u64).map(|seed| (probe_budget, seed, None)));
+        schedule.push((exhaustive_budget, u64::MAX, None));
 
-        for (attempt, &(budget, seed)) in schedule.iter().enumerate() {
+        for (attempt, &(budget, seed, pin)) in schedule.iter().enumerate() {
             let exhaustive = attempt + 1 == schedule.len();
-            let mut state = SearchState::new(
-                self,
-                num_vendors,
-                problem.total_latency(),
-                &vendors_of_type,
-                seed,
-            );
-            let r = self.search(
+            let (r, state) = self.descend(
                 problem,
                 &vendors_of_type,
-                &mut state,
-                0,
-                budget,
-                num_vendors,
-                problem.total_latency(),
                 &min_area,
+                budget,
+                seed,
+                pin,
                 start,
                 options,
             );
             match r {
-                SearchResult::Found => {
-                    let mut imp = Implementation::new(self.n);
-                    for (i, slot) in state.assignment.iter().enumerate() {
-                        if let Some((cycle, vendor)) = slot {
-                            let role = match i / self.n {
-                                0 => Role::Nc,
-                                1 => Role::Rc,
-                                _ => Role::Recovery,
-                            };
-                            imp.assign(
-                                NodeId::new(i % self.n),
-                                role,
-                                Assignment {
-                                    cycle: *cycle,
-                                    vendor: *vendor,
-                                },
-                            );
-                        }
-                    }
-                    return Feasibility::Feasible(imp);
-                }
+                SearchResult::Found => return Feasibility::Feasible(self.implementation(&state)),
+                // A pinned descent refutes only its one coloring.
+                SearchResult::Exhausted | SearchResult::NodeBudget if pin.is_some() => {}
                 SearchResult::Exhausted => return Feasibility::Infeasible,
                 SearchResult::NodeBudget => {
                     if exhaustive {
@@ -460,15 +452,101 @@ impl SearchContext {
         Feasibility::Unknown
     }
 
-    /// Cycle-free backtracking over vendor assignments only.
-    ///
-    /// Returns `Some(true)` if a coloring exists, `Some(false)` if provably
-    /// none does, `None` if the node budget ran out.
-    fn vendor_colorable(
+    /// The licensed vendors per type and the cheapest instantiable area per
+    /// type (for the in-search bound); `None` if a needed type has no
+    /// licensed vendor.
+    fn subset(
         &self,
+        problem: &SynthesisProblem,
+        licensed: &[License],
+    ) -> Option<(Vec<Vec<VendorId>>, [u64; IpTypeId::COUNT])> {
+        let mut vendors_of_type: Vec<Vec<VendorId>> = vec![Vec::new(); IpTypeId::COUNT];
+        for l in licensed {
+            vendors_of_type[l.ip_type.index()].push(l.vendor);
+        }
+        let mut min_area = [u64::MAX; IpTypeId::COUNT];
+        for &t in &self.needed_types {
+            if vendors_of_type[t.index()].is_empty() {
+                return None;
+            }
+            for &v in &vendors_of_type[t.index()] {
+                let a = problem
+                    .catalog()
+                    .offering(v, t)
+                    .map_or(u64::MAX, |o| o.area);
+                min_area[t.index()] = min_area[t.index()].min(a);
+            }
+        }
+        Some((vendors_of_type, min_area))
+    }
+
+    /// One backtracking descent with `budget` nodes. `pin`, when given,
+    /// fixes every copy's vendor to that coloring.
+    #[allow(clippy::too_many_arguments)]
+    fn descend(
+        &self,
+        problem: &SynthesisProblem,
         vendors_of_type: &[Vec<VendorId>],
-        node_limit: usize,
-    ) -> Option<bool> {
+        min_area: &[u64; IpTypeId::COUNT],
+        budget: usize,
+        seed: u64,
+        pin: Option<&[Option<VendorId>]>,
+        start: Instant,
+        options: &SolveOptions,
+    ) -> (SearchResult, SearchState) {
+        let num_vendors = problem.catalog().num_vendors();
+        let mut state = SearchState::new(
+            self,
+            num_vendors,
+            problem.total_latency(),
+            vendors_of_type,
+            seed,
+        );
+        if let Some(coloring) = pin {
+            state.pin(self, coloring);
+        }
+        let r = self.search(
+            problem,
+            vendors_of_type,
+            &mut state,
+            0,
+            budget,
+            num_vendors,
+            problem.total_latency(),
+            min_area,
+            start,
+            options,
+        );
+        (r, state)
+    }
+
+    /// Reads the design out of a search state that reached `Found`.
+    fn implementation(&self, state: &SearchState) -> Implementation {
+        let mut imp = Implementation::new(self.n);
+        for (i, slot) in state.assignment.iter().enumerate() {
+            if let Some((cycle, vendor)) = slot {
+                let role = match i / self.n {
+                    0 => Role::Nc,
+                    1 => Role::Rc,
+                    _ => Role::Recovery,
+                };
+                imp.assign(
+                    NodeId::new(i % self.n),
+                    role,
+                    Assignment {
+                        cycle: *cycle,
+                        vendor: *vendor,
+                    },
+                );
+            }
+        }
+        imp
+    }
+
+    /// Cycle-free backtracking over vendor assignments only: a valid vendor
+    /// per copy (indexed by copy index), a proof that none exists, or
+    /// `Unknown` when the node budget ran out.
+    fn vendor_coloring(&self, vendors_of_type: &[Vec<VendorId>], node_limit: usize) -> Coloring {
         let copies = self.order.len();
         let mut color: Vec<Option<VendorId>> = vec![None; 3 * self.n];
         let mut nodes = 0usize;
@@ -512,19 +590,14 @@ impl SearchContext {
                     node_limit,
                 ) {
                     Some(false) => {}
-                    other => {
-                        if other == Some(true) {
-                            color[ci] = None;
-                        }
-                        return other;
-                    }
+                    other => return other,
                 }
-                color[ci] = None;
             }
+            color[ci] = None;
             Some(false)
         }
 
-        go(
+        match go(
             self,
             vendors_of_type,
             &mut color,
@@ -532,7 +605,11 @@ impl SearchContext {
             copies,
             &mut nodes,
             node_limit,
-        )
+        ) {
+            Some(true) => Coloring::Found(color),
+            Some(false) => Coloring::Impossible,
+            None => Coloring::Unknown,
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -724,6 +801,22 @@ impl SearchState {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         (z ^ (z >> 31)) % bound
+    }
+
+    /// Restricts every copy to its vendor in `coloring`: all other licensed
+    /// vendors start forbidden, so the search explores only cycles.
+    fn pin(&mut self, ctx: &SearchContext, coloring: &[Option<VendorId>]) {
+        for &c in &ctx.order {
+            let ci = cidx(ctx.n, c);
+            let pinned = coloring[ci].expect("a coloring covers every copy");
+            let t = ctx.op_type[c.op.index()];
+            for v in 0..64 {
+                if v != pinned.index() && self.licensed[t.index()] & (1 << v) != 0 {
+                    self.forbid[ci * 64 + v] += 1;
+                }
+            }
+            self.avail[ci] = 1;
+        }
     }
 
     /// Marks `v` forbidden for every unassigned diversity neighbour of `ci`;
@@ -997,6 +1090,59 @@ mod tests {
                 .collect();
             assert!(vendors.len() >= 3, "{t}: {vendors:?}");
         }
+    }
+
+    /// dtmf with recovery at λ_det = λ_rec = 4 under a 40000 area cap: on
+    /// the optimal license set the first descent runs out of nodes and the
+    /// coloring `vendor_coloring` returns admits no schedule, yet another
+    /// coloring does. A pinned `Exhausted` must not read as "infeasible".
+    #[test]
+    fn pinned_descent_refutes_only_its_coloring() {
+        let p = SynthesisProblem::builder(benchmarks::dtmf(), Catalog::paper8())
+            .mode(Mode::DetectionRecovery)
+            .detection_latency(4)
+            .recovery_latency(4)
+            .area_limit(40_000)
+            .build()
+            .unwrap();
+        let options = SolveOptions::default();
+        let s = solve(&p).expect("feasible");
+        assert_eq!(s.cost, 5350);
+        assert!(s.proven_optimal);
+
+        let ctx = SearchContext::new(&p);
+        let licensed: Vec<License> = s.implementation.licenses_used(&p).into_iter().collect();
+        let (vendors_of_type, min_area) = ctx.subset(&p, &licensed).expect("covers every type");
+        let Coloring::Found(coloring) = ctx.vendor_coloring(&vendors_of_type, options.node_limit)
+        else {
+            panic!("the optimal license set is colorable");
+        };
+        let start = Instant::now();
+        let descend = |budget, seed, pin| {
+            let (r, _) = ctx.descend(
+                &p,
+                &vendors_of_type,
+                &min_area,
+                budget,
+                seed,
+                pin,
+                start,
+                &options,
+            );
+            r
+        };
+        assert!(matches!(
+            descend(4 * ctx.order.len(), 0, None),
+            SearchResult::NodeBudget
+        ));
+        assert!(matches!(
+            descend(20_000, u64::MAX, Some(&coloring[..])),
+            SearchResult::Exhausted
+        ));
+        assert!(matches!(
+            ctx.feasible(&p, &licensed, options.node_limit, start, &options),
+            Feasibility::Feasible(_)
+        ));
     }
 
     #[test]

@@ -357,12 +357,12 @@ fn overload_sheds_surplus_requests_with_typed_rejections() {
     .expect("bind");
     let addr = service.local_addr();
 
-    // The occupier: diff2 at λ = 40 under a 30000 area cap, where the
+    // The occupier: diff2 at λ = 40 under a 21300 area cap, where the
     // exact rung spends its whole node budget on every cheaper license
     // set (seconds of deterministic work) before it settles on a
     // best-effort design, holding the only slot for that long.
     let holder_line = "{\"id\":\"hold\",\"cmd\":\"synth\",\"benchmark\":\"diff2\",\
-        \"mode\":\"detection\",\"catalog\":\"paper8\",\"lambda_det\":40,\"area\":30000,\
+        \"mode\":\"detection\",\"catalog\":\"paper8\",\"lambda_det\":40,\"area\":21300,\
         \"deadline_ms\":20000,\"no_degrade\":true}";
     let holder = std::thread::spawn(move || {
         roundtrip(addr, holder_line, Duration::from_secs(25)).expect("holder response")

@@ -4,8 +4,10 @@
 
 use std::collections::BTreeMap;
 
-use troy_bench::{motivational_problem, problem_for, run_row, table3_specs, table4_specs};
-use troyhls::{validate, ExactSolver, SolveOptions, Synthesizer};
+use troy_bench::{
+    harness_options, motivational_problem, problem_for, run_row, table3_specs, table4_specs,
+};
+use troyhls::{validate, ExactSolver, Mode, SolveOptions, Synthesizer};
 
 fn quick() -> SolveOptions {
     SolveOptions::quick()
@@ -19,6 +21,38 @@ fn figure5_row_reproduces_4160_exactly() {
         .expect("feasible");
     assert_eq!(s.cost, 4160);
     assert!(s.proven_optimal);
+}
+
+/// The rows the paper marks `*` that the exact solver once left unproven:
+/// `(benchmark, mode, λ, proven optimum)`.
+const FORMERLY_UNPROVEN: [(&str, Mode, usize, u64); 3] = [
+    ("diff2", Mode::DetectionOnly, 14, 4320),
+    ("fir16", Mode::DetectionOnly, 12, 3070),
+    ("mof2", Mode::DetectionRecovery, 24, 3850),
+];
+
+/// Fig. 5 and all 24 rows are proven optimal under the harness budget and
+/// under `SolveOptions::default()`, the budget the daemon and CLI use.
+#[test]
+fn all_25_paper_problems_are_proven_under_the_serving_options() {
+    for options in [harness_options(), SolveOptions::default()] {
+        let s = ExactSolver::new()
+            .synthesize(&motivational_problem(), &options)
+            .expect("feasible");
+        assert_eq!((s.cost, s.proven_optimal), (4160, true));
+        for spec in table3_specs().iter().chain(table4_specs().iter()) {
+            let r = run_row(spec, &options);
+            let id = format!("{} {:?} λ={}", spec.benchmark, spec.mode, spec.lambda);
+            assert!(r.proven_optimal, "{id} is not proven");
+            let cost = r.stats.expect("proven rows have a design").license_cost;
+            if let Some(&(.., optimum)) = FORMERLY_UNPROVEN
+                .iter()
+                .find(|&&(b, m, l, _)| (b, m, l) == (spec.benchmark, spec.mode, spec.lambda))
+            {
+                assert_eq!(cost, optimum, "{id}");
+            }
+        }
+    }
 }
 
 #[test]
