@@ -7,24 +7,27 @@
 //! ```
 //!
 //! `--json` records Fig. 5 and all 24 rows of Tables 3 and 4 — cost, the
-//! `proven` flag and u/t/v — in `BENCH_tables.json` at the repo root.
-//! Each row is solved by the exact solver under [`harness_options`],
-//! whose node limit is the only budget that binds: every row solves in
-//! well under a millisecond against a 60 s time limit, so the record
-//! reproduces on any machine. `--check` re-solves every row and fails
-//! unless every field equals the committed record.
+//! `proven` flag, u/t/v and the solver's work counters (license subsets
+//! checked, search nodes visited; see `ExactSolver::synthesize_counted`)
+//! — in `BENCH_tables.json` at the repo root. Each row is solved by the
+//! exact solver under [`harness_options`], whose node limit is the only
+//! budget that binds: every row solves in well under a millisecond
+//! against a 60 s time limit, so the record reproduces on any machine.
+//! `--check` re-solves every row and fails unless every field equals the
+//! committed record, so a change that alters the search shows up in the
+//! counters even when the designs stay the same.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use troy_bench::{
-    format_table, harness_options, motivational_problem, run_rows, table3_specs, table4_specs,
-    RowResult, RowSpec,
+    format_table, harness_options, motivational_problem, problem_for, run_rows, table3_specs,
+    table4_specs, RowResult, RowSpec,
 };
 use troy_dfg::{benchmarks, IpTypeId};
 use troy_portfolio::BatchConfig;
 use troyhls::{
-    unprotected_cost, Catalog, DesignStats, ExactSolver, Mode, SolveOptions, SynthesisProblem,
+    unprotected_cost, Catalog, ExactSolver, ExactWork, Mode, SolveOptions, SynthesisProblem,
     Synthesizer,
 };
 
@@ -146,25 +149,21 @@ fn table(which: usize) {
 }
 
 /// Renders the record: one line per row, every field deterministic.
+/// Rows are solved one after another in this thread, so each row's work
+/// counters are its own.
 fn render_record() -> String {
-    let mut lines = Vec::new();
-    let p = motivational_problem();
-    let fig5 = ExactSolver::new()
-        .synthesize(&p, &harness_options())
-        .ok()
-        .map(|s| (s.implementation.stats(&p), s.proven_optimal));
-    lines.push(record_line("fig5", fig5));
+    let mut lines = vec![record_line("fig5", &motivational_problem())];
     for which in [3, 4] {
         let (_, specs) = table_specs(which);
-        for r in solve_table(&specs) {
-            let name = format!("table{which}-{}-l{}", r.spec.benchmark, r.spec.lambda);
-            lines.push(record_line(&name, r.stats.map(|s| (s, r.proven_optimal))));
+        for spec in &specs {
+            let name = format!("table{which}-{}-l{}", spec.benchmark, spec.lambda);
+            lines.push(record_line(&name, &problem_for(spec)));
         }
     }
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": 1,\n");
+    out.push_str("{\n  \"schema\": 2,\n");
     out.push_str(
-        "  \"note\": \"exact solver under harness_options; every field is deterministic and gated for equality\",\n",
+        "  \"note\": \"exact solver under harness_options; every field is deterministic and gated for equality; subsets/nodes are the solver's work counters\",\n",
     );
     out.push_str("  \"rows\": [\n");
     for (i, line) in lines.iter().enumerate() {
@@ -175,16 +174,25 @@ fn render_record() -> String {
     out
 }
 
-/// One row of the record; a row without a design records `null` cost and
-/// u/t/v.
-fn record_line(name: &str, solved: Option<(DesignStats, bool)>) -> String {
-    match solved {
-        Some((s, proven)) => format!(
-            "{{ \"name\": \"{name}\", \"cost\": {}, \"proven\": {proven}, \"u\": {}, \"t\": {}, \"v\": {} }}",
-            s.license_cost, s.instances_used, s.licenses_used, s.vendors_used
-        ),
-        None => format!(
-            "{{ \"name\": \"{name}\", \"cost\": null, \"proven\": false, \"u\": null, \"t\": null, \"v\": null }}"
+/// Solves `problem` with the exact solver and renders its row; a row
+/// without a design records `null` cost and u/t/v.
+fn record_line(name: &str, problem: &SynthesisProblem) -> String {
+    let (result, work) = ExactSolver::new().synthesize_counted(problem, &harness_options());
+    let ExactWork { subsets, nodes } = work;
+    match result {
+        Ok(s) => {
+            let stats = s.implementation.stats(problem);
+            format!(
+                "{{ \"name\": \"{name}\", \"cost\": {}, \"proven\": {}, \"u\": {}, \"t\": {}, \"v\": {}, \"subsets\": {subsets}, \"nodes\": {nodes} }}",
+                stats.license_cost,
+                s.proven_optimal,
+                stats.instances_used,
+                stats.licenses_used,
+                stats.vendors_used
+            )
+        }
+        Err(_) => format!(
+            "{{ \"name\": \"{name}\", \"cost\": null, \"proven\": false, \"u\": null, \"t\": null, \"v\": null, \"subsets\": {subsets}, \"nodes\": {nodes} }}"
         ),
     }
 }

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use troy_dfg::{IpTypeId, NodeId, ScheduleWindows};
 
-use crate::catalog::{License, VendorId};
+use crate::catalog::{Catalog, License, VendorId};
 use crate::implementation::{Assignment, Implementation};
 use crate::problem::{Mode, SynthesisProblem};
 use crate::rules::{diversity_constraints, min_vendors_per_type, OpCopy, Role};
@@ -64,6 +64,36 @@ impl ExactSolver {
     pub fn new() -> Self {
         ExactSolver::default()
     }
+
+    /// [`Synthesizer::synthesize`], plus the work the search did. The
+    /// counts depend only on the problem and `options.node_limit`, never
+    /// on timing (unless the time limit cuts the solve short), so they
+    /// repeat exactly from run to run and machine to machine.
+    ///
+    /// # Errors
+    ///
+    /// As [`Synthesizer::synthesize`].
+    pub fn synthesize_counted(
+        &self,
+        problem: &SynthesisProblem,
+        options: &SolveOptions,
+    ) -> (Result<Synthesis, SynthesisError>, ExactWork) {
+        let mut work = ExactWork::default();
+        let result = solve(problem, options, &mut work);
+        (result, work)
+    }
+}
+
+/// Deterministic work counters of one exact solve (see
+/// [`ExactSolver::synthesize_counted`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExactWork {
+    /// License subsets that reached a feasibility check (past the area
+    /// prune).
+    pub subsets: usize,
+    /// Search nodes visited: every descent's nodes plus the vendor
+    /// coloring pre-check's.
+    pub nodes: usize,
 }
 
 impl Synthesizer for ExactSolver {
@@ -76,125 +106,121 @@ impl Synthesizer for ExactSolver {
         problem: &SynthesisProblem,
         options: &SolveOptions,
     ) -> Result<Synthesis, SynthesisError> {
-        let start = Instant::now();
-        let ctx = SearchContext::new(problem);
-        let min_vendors: Vec<(IpTypeId, usize)> = min_vendors_per_type(problem);
+        self.synthesize_counted(problem, options).0
+    }
+}
 
-        // Feasibility depends only on the *per-type vendor sets*, and the
-        // objective is additive across types. Enumerate, per needed type,
-        // every vendor subset meeting the minimum-diversity bound, sorted by
-        // cost; then merge the per-type lists in global cost order with a
-        // heap over index tuples.
-        let mut lists: Vec<Vec<TypeChoice>> = Vec::new();
-        for &(t, need) in &min_vendors {
-            let vendors: Vec<(VendorId, u64, u64)> = problem
-                .catalog()
-                .vendors_for(t)
-                .map(|v| {
-                    let off = problem.catalog().offering(v, t).expect("listed vendor");
-                    (v, off.cost, off.area)
-                })
-                .collect();
-            if vendors.len() < need {
-                return Err(SynthesisError::Infeasible);
-            }
-            let mut choices = Vec::new();
-            for mask in 0u32..(1 << vendors.len()) {
-                if (mask.count_ones() as usize) < need {
-                    continue;
-                }
-                let mut cost = 0u64;
-                let mut min_area = u64::MAX;
-                let mut licenses = Vec::new();
-                for (i, &(v, c, a)) in vendors.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        cost += c;
-                        min_area = min_area.min(a);
-                        licenses.push(License {
-                            vendor: v,
-                            ip_type: t,
-                        });
-                    }
-                }
+/// The lattice walk behind [`ExactSolver::synthesize_counted`].
+fn solve(
+    problem: &SynthesisProblem,
+    options: &SolveOptions,
+    work: &mut ExactWork,
+) -> Result<Synthesis, SynthesisError> {
+    let start = Instant::now();
+    let ctx = SearchContext::new(problem);
+    let min_vendors: Vec<(IpTypeId, usize)> = min_vendors_per_type(problem);
+
+    // Feasibility depends only on the *per-type vendor sets*, and the
+    // objective is additive across types. Enumerate, per needed type,
+    // every vendor subset meeting the minimum-diversity bound as a bitmask,
+    // sorted by cost; then merge the per-type lists in global cost order
+    // with a heap over index tuples.
+    let catalog = problem.catalog();
+    let mut lists: Vec<Vec<TypeChoice>> = Vec::with_capacity(min_vendors.len());
+    for &(ip_type, need) in &min_vendors {
+        // Bit i of a mask stands for the i-th vendor of `vendors_for`.
+        let offers: Vec<(u64, u64)> = catalog
+            .vendors_for(ip_type)
+            .map(|v| {
+                let off = catalog.offering(v, ip_type).expect("listed vendor");
+                (off.cost, off.area)
+            })
+            .collect();
+        if offers.len() < need {
+            return Err(SynthesisError::Infeasible);
+        }
+        // (cost, min area) of every mask, each from the mask without its
+        // lowest bit.
+        let mut sums = vec![(0u64, u64::MAX); 1 << offers.len()];
+        let mut choices = Vec::new();
+        for mask in 1u32..(1 << offers.len()) {
+            let (cost, area) = offers[mask.trailing_zeros() as usize];
+            let (rest_cost, rest_area) = sums[(mask & (mask - 1)) as usize];
+            let (cost, min_area) = (rest_cost + cost, rest_area.min(area));
+            sums[mask as usize] = (cost, min_area);
+            if mask.count_ones() as usize >= need {
                 choices.push(TypeChoice {
                     cost,
                     min_area,
-                    licenses,
+                    mask,
+                    ip_type,
                 });
             }
-            choices.sort_by_key(|a| a.cost);
-            lists.push(choices);
         }
+        choices.sort_by_key(|c| c.cost);
+        lists.push(choices);
+    }
 
-        let dims = lists.len();
-        let mut heap: BinaryHeap<Reverse<(u64, Vec<u16>)>> = BinaryHeap::new();
-        let mut seen: HashSet<Vec<u16>> = HashSet::new();
-        let root = vec![0u16; dims];
-        let cost_of = |idx: &[u16], lists: &[Vec<TypeChoice>]| -> u64 {
-            idx.iter()
-                .zip(lists)
-                .map(|(&i, l)| l[usize::from(i)].cost)
-                .sum()
-        };
-        heap.push(Reverse((cost_of(&root, &lists), root.clone())));
-        seen.insert(root);
-        let mut uncertain = false;
+    let dims = lists.len();
+    let mut heap: BinaryHeap<Reverse<(u64, LatticeIndex)>> = BinaryHeap::new();
+    let mut seen: HashSet<LatticeIndex> = HashSet::new();
+    let root: LatticeIndex = [0; IpTypeId::COUNT];
+    let cost_of = |idx: &LatticeIndex| -> u64 {
+        idx.iter()
+            .zip(&lists)
+            .map(|(&i, l)| l[usize::from(i)].cost)
+            .sum()
+    };
+    heap.push(Reverse((cost_of(&root), root)));
+    seen.insert(root);
+    let mut uncertain = false;
 
-        while let Some(Reverse((cost, idx))) = heap.pop() {
-            if options.out_of_time(start) {
-                return Err(SynthesisError::BudgetExhausted);
-            }
-            // Expand neighbors (increment one coordinate each).
-            for d in 0..dims {
-                if usize::from(idx[d]) + 1 < lists[d].len() {
-                    let mut child = idx.clone();
-                    child[d] += 1;
-                    if seen.insert(child.clone()) {
-                        heap.push(Reverse((cost_of(&child, &lists), child)));
-                    }
+    while let Some(Reverse((cost, idx))) = heap.pop() {
+        if options.out_of_time(start) {
+            return Err(SynthesisError::BudgetExhausted);
+        }
+        // Expand neighbors (increment one coordinate each).
+        for d in 0..dims {
+            if usize::from(idx[d]) + 1 < lists[d].len() {
+                let mut child = idx;
+                child[d] += 1;
+                if seen.insert(child) {
+                    heap.push(Reverse((cost_of(&child), child)));
                 }
             }
-
-            // Area lower bound: any schedule instantiates at least
-            // `min_instances[t]` cores of each type, each no smaller than
-            // the subset's cheapest-area offering.
-            let area_lb: u64 = idx
-                .iter()
-                .zip(&lists)
-                .zip(&min_vendors)
-                .map(|((&i, l), &(t, _))| {
-                    l[usize::from(i)].min_area * ctx.min_instances[t.index()] as u64
-                })
-                .sum();
-            if area_lb > problem.area_limit() {
-                continue;
-            }
-
-            let licensed: Vec<License> = idx
-                .iter()
-                .zip(&lists)
-                .flat_map(|(&i, l)| l[usize::from(i)].licenses.iter().copied())
-                .collect();
-            match ctx.feasible(problem, &licensed, options.node_limit, start, options) {
-                Feasibility::Feasible(imp) => {
-                    debug_assert_eq!(imp.license_cost(problem), cost);
-                    return Ok(Synthesis {
-                        implementation: imp,
-                        cost,
-                        proven_optimal: !uncertain,
-                    });
-                }
-                Feasibility::Infeasible => {}
-                Feasibility::Unknown => uncertain = true,
-                Feasibility::TimedOut => return Err(SynthesisError::BudgetExhausted),
-            }
         }
 
-        if uncertain {
-            Err(SynthesisError::BudgetExhausted)
-        } else {
-            Err(SynthesisError::Infeasible)
+        // Area lower bound: any schedule instantiates at least
+        // `min_instances[t]` cores of each type, each no smaller than
+        // the subset's cheapest-area offering.
+        let choices = || idx.iter().zip(&lists).map(|(&i, l)| l[usize::from(i)]);
+        let area_lb: u64 = choices()
+            .map(|c| c.min_area * ctx.min_instances[c.ip_type.index()] as u64)
+            .sum();
+        if area_lb > problem.area_limit() {
+            continue;
         }
+
+        let licensed: Vec<License> = choices().flat_map(|c| c.licenses(catalog)).collect();
+        match ctx.feasible(problem, &licensed, options.node_limit, start, options, work) {
+            Feasibility::Feasible(imp) => {
+                debug_assert_eq!(imp.license_cost(problem), cost);
+                return Ok(Synthesis {
+                    implementation: imp,
+                    cost,
+                    proven_optimal: !uncertain,
+                });
+            }
+            Feasibility::Infeasible => {}
+            Feasibility::Unknown => uncertain = true,
+            Feasibility::TimedOut => return Err(SynthesisError::BudgetExhausted),
+        }
+    }
+
+    if uncertain {
+        Err(SynthesisError::BudgetExhausted)
+    } else {
+        Err(SynthesisError::Infeasible)
     }
 }
 
@@ -221,10 +247,14 @@ impl<'a> FeasibilityChecker<'a> {
         start: Instant,
         options: &SolveOptions,
     ) -> Option<Implementation> {
-        match self
-            .ctx
-            .feasible(self.problem, licensed, node_limit, start, options)
-        {
+        match self.ctx.feasible(
+            self.problem,
+            licensed,
+            node_limit,
+            start,
+            options,
+            &mut ExactWork::default(),
+        ) {
             Feasibility::Feasible(imp) => Some(imp),
             _ => None,
         }
@@ -232,12 +262,32 @@ impl<'a> FeasibilityChecker<'a> {
 }
 
 /// One candidate vendor subset for a single IP type.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct TypeChoice {
     cost: u64,
     min_area: u64,
-    licenses: Vec<License>,
+    /// Bit `i` set: the `i`-th vendor of [`Catalog::vendors_for`] is bought.
+    mask: u32,
+    ip_type: IpTypeId,
 }
+
+impl TypeChoice {
+    /// The licenses this choice buys, in vendor index order.
+    fn licenses(self, catalog: &Catalog) -> impl Iterator<Item = License> + '_ {
+        catalog
+            .vendors_for(self.ip_type)
+            .enumerate()
+            .filter(move |&(i, _)| self.mask & (1 << i) != 0)
+            .map(move |(_, vendor)| License {
+                vendor,
+                ip_type: self.ip_type,
+            })
+    }
+}
+
+/// A point of the license lattice: one index per needed type into its
+/// cost-sorted [`TypeChoice`] list (unused trailing slots stay 0).
+type LatticeIndex = [u16; IpTypeId::COUNT];
 
 enum Feasibility {
     Feasible(Implementation),
@@ -350,11 +400,10 @@ impl SearchContext {
         // every op twice inside λ_det, the recovery phase once in λ_rec.
         let mut min_instances = [0usize; IpTypeId::COUNT];
         for &t in &needed_types {
-            let det_need = doubled_min_concurrency(problem, t, &det_windows);
-            let rec_need = match problem.mode() {
-                Mode::DetectionOnly => 0,
-                Mode::DetectionRecovery => troy_dfg::min_concurrency(dfg, rec, t),
-            };
+            let det_need = det_windows.interval_bound(dfg, t, 2);
+            let rec_need = rec_windows
+                .as_ref()
+                .map_or(0, |w| w.interval_bound(dfg, t, 1));
             min_instances[t.index()] = det_need.max(rec_need);
         }
 
@@ -389,7 +438,9 @@ impl SearchContext {
         node_limit: usize,
         start: Instant,
         options: &SolveOptions,
+        work: &mut ExactWork,
     ) -> Feasibility {
+        work.subsets += 1;
         let Some((vendors_of_type, min_area)) = self.subset(problem, licensed) else {
             return Feasibility::Infeasible;
         };
@@ -398,7 +449,7 @@ impl SearchContext {
         // cycle-independent, so an uncolorable subset is infeasible no
         // matter the schedule — and refuting the coloring alone avoids
         // multiplying the conflict by every cycle permutation.
-        let coloring = match self.vendor_coloring(&vendors_of_type, node_limit) {
+        let coloring = match self.vendor_coloring(&vendors_of_type, node_limit, work) {
             Coloring::Impossible => return Feasibility::Infeasible,
             Coloring::Found(color) => Some(color),
             Coloring::Unknown => None,
@@ -436,6 +487,7 @@ impl SearchContext {
                 start,
                 options,
             );
+            work.nodes += state.nodes;
             match r {
                 SearchResult::Found => return Feasibility::Feasible(self.implementation(&state)),
                 // A pinned descent refutes only its one coloring.
@@ -545,8 +597,13 @@ impl SearchContext {
 
     /// Cycle-free backtracking over vendor assignments only: a valid vendor
     /// per copy (indexed by copy index), a proof that none exists, or
-    /// `Unknown` when the node budget ran out.
-    fn vendor_coloring(&self, vendors_of_type: &[Vec<VendorId>], node_limit: usize) -> Coloring {
+    /// `Unknown` when the node budget ran out. Adds its nodes to `work`.
+    fn vendor_coloring(
+        &self,
+        vendors_of_type: &[Vec<VendorId>],
+        node_limit: usize,
+        work: &mut ExactWork,
+    ) -> Coloring {
         let copies = self.order.len();
         let mut color: Vec<Option<VendorId>> = vec![None; 3 * self.n];
         let mut nodes = 0usize;
@@ -597,7 +654,7 @@ impl SearchContext {
             Some(false)
         }
 
-        match go(
+        let colored = go(
             self,
             vendors_of_type,
             &mut color,
@@ -605,7 +662,9 @@ impl SearchContext {
             copies,
             &mut nodes,
             node_limit,
-        ) {
+        );
+        work.nodes += nodes;
+        match colored {
             Some(true) => Coloring::Found(color),
             Some(false) => Coloring::Impossible,
             None => Coloring::Unknown,
@@ -942,25 +1001,6 @@ impl SearchState {
     }
 }
 
-/// Minimum concurrent cores of type `t` in the detection phase, where every
-/// op runs twice (NC + RC) within the same windows.
-fn doubled_min_concurrency(problem: &SynthesisProblem, t: IpTypeId, w: &ScheduleWindows) -> usize {
-    let dfg = problem.dfg();
-    let latency = problem.detection_latency();
-    let mut best = 0usize;
-    for lo in 1..=latency {
-        for hi in lo..=latency {
-            let width = hi - lo + 1;
-            let confined = dfg
-                .node_ids()
-                .filter(|&n| dfg.kind(n).ip_type() == t && w.asap(n) >= lo && w.alap(n) <= hi)
-                .count();
-            best = best.max((2 * confined).div_ceil(width));
-        }
-    }
-    best
-}
-
 /// Memoized convenience wrapper used by reporting code: solve and cache by
 /// problem identity is intentionally *not* provided — solves are explicit.
 #[doc(hidden)]
@@ -1113,8 +1153,11 @@ mod tests {
         let ctx = SearchContext::new(&p);
         let licensed: Vec<License> = s.implementation.licenses_used(&p).into_iter().collect();
         let (vendors_of_type, min_area) = ctx.subset(&p, &licensed).expect("covers every type");
-        let Coloring::Found(coloring) = ctx.vendor_coloring(&vendors_of_type, options.node_limit)
-        else {
+        let Coloring::Found(coloring) = ctx.vendor_coloring(
+            &vendors_of_type,
+            options.node_limit,
+            &mut ExactWork::default(),
+        ) else {
             panic!("the optimal license set is colorable");
         };
         let start = Instant::now();
@@ -1140,7 +1183,14 @@ mod tests {
             SearchResult::Exhausted
         ));
         assert!(matches!(
-            ctx.feasible(&p, &licensed, options.node_limit, start, &options),
+            ctx.feasible(
+                &p,
+                &licensed,
+                options.node_limit,
+                start,
+                &options,
+                &mut ExactWork::default()
+            ),
             Feasibility::Feasible(_)
         ));
     }

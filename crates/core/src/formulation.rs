@@ -176,7 +176,7 @@ pub fn formulate(problem: &SynthesisProblem, options: &FormulationOptions) -> Fo
     // Instance cap per type (the paper's |τ(t)|).
     let cap_for = |t: IpTypeId| -> usize {
         options.instances_per_vendor_type.unwrap_or_else(|| {
-            let single = troy_dfg::min_concurrency(dfg, det, t);
+            let single = det_w.interval_bound(dfg, t, 1);
             // Detection runs two copies of everything.
             (2 * single).max(2)
         })

@@ -63,7 +63,7 @@ mod validate;
 pub use annealing::{AnnealingConfig, AnnealingSolver};
 pub use catalog::{Catalog, IpOffering, License, VendorId};
 pub use cones::{cone_vendors, output_cones, OutputCone};
-pub use exact::ExactSolver;
+pub use exact::{ExactSolver, ExactWork};
 pub use explore::{min_feasible_area, sweep_area, sweep_latency, unprotected_cost, SweepPoint};
 pub use formulation::{formulate, FormulatedIlp, FormulationOptions, IlpSolver};
 pub use heuristic::{needed_types, GreedySolver};

@@ -84,13 +84,64 @@ impl ScheduleWindows {
     pub fn mobility(&self, n: NodeId) -> usize {
         self.alap[n.index()] - self.asap[n.index()]
     }
+
+    /// Interval lower bound on concurrent units of `ip_type` when every op
+    /// of that type runs `copies_per_op` times inside its window.
+    ///
+    /// For every cycle interval `[lo, hi]`, the ops whose windows lie
+    /// entirely inside it need `⌈copies_per_op · confined / width⌉` units;
+    /// the bound is the maximum over all intervals. A table of op counts
+    /// per `(asap, alap)` pair, summed into 2-D prefix sums, gives every
+    /// interval's count in O(1), so the whole bound costs O(n + λ²).
+    ///
+    /// `dfg` must be the graph these windows were computed for.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use troy_dfg::{benchmarks, IpTypeId, ScheduleWindows};
+    ///
+    /// let g = benchmarks::fir16();
+    /// let w = ScheduleWindows::compute(&g, 6).expect("feasible");
+    /// let single = w.interval_bound(&g, IpTypeId::MULTIPLIER, 1);
+    /// assert!(single >= 3);
+    /// assert!(w.interval_bound(&g, IpTypeId::MULTIPLIER, 2) >= single);
+    /// ```
+    #[must_use]
+    pub fn interval_bound(&self, dfg: &Dfg, ip_type: IpTypeId, copies_per_op: usize) -> usize {
+        let latency = self.latency;
+        // confined[lo][hi] = #ops with lo <= asap and alap <= hi, built
+        // from per-(asap, alap) counts as a suffix sum over `lo` and a
+        // prefix sum over `hi`. Row `latency + 1` and column 0 stay zero.
+        let side = latency + 2;
+        let mut confined = vec![0usize; side * side];
+        for n in dfg.node_ids() {
+            if dfg.kind(n).ip_type() == ip_type {
+                confined[self.asap(n) * side + self.alap(n)] += 1;
+            }
+        }
+        let mut best = 0usize;
+        for lo in (1..=latency).rev() {
+            for hi in 1..=latency {
+                let at = lo * side + hi;
+                confined[at] =
+                    confined[at] + confined[at + side] + confined[at - 1] - confined[at + side - 1];
+                if hi >= lo {
+                    let width = hi - lo + 1;
+                    best = best.max((copies_per_op * confined[at]).div_ceil(width));
+                }
+            }
+        }
+        best
+    }
 }
 
 /// Lower bound on concurrent operations of one IP type, over all cycles.
 ///
-/// For each cycle `l`, counts operations whose window forces them into a
-/// range covering `l`, divided by the range width — the classic
-/// force-directed lower bound. Used to prune area-infeasible license sets.
+/// The interval bound ([`ScheduleWindows::interval_bound`]) of the windows
+/// at `latency`, one copy per op: for every cycle interval, the ops whose
+/// windows force them into it, divided by its width. Used to prune
+/// area-infeasible license sets.
 ///
 /// # Examples
 ///
@@ -103,24 +154,10 @@ impl ScheduleWindows {
 /// ```
 #[must_use]
 pub fn min_concurrency(dfg: &Dfg, latency: usize, ip_type: IpTypeId) -> usize {
-    let Some(w) = ScheduleWindows::compute(dfg, latency) else {
-        return usize::MAX; // infeasible latency: no finite resource count helps
-    };
-    let mut best = 0usize;
-    // For every cycle interval [lo, hi], ops entirely confined to it need
-    // ceil(count / width) units. Scanning all O(latency^2) intervals is cheap
-    // at these sizes and dominates the single-cycle bound.
-    for lo in 1..=latency {
-        for hi in lo..=latency {
-            let width = hi - lo + 1;
-            let confined = dfg
-                .node_ids()
-                .filter(|&n| dfg.kind(n).ip_type() == ip_type && w.asap(n) >= lo && w.alap(n) <= hi)
-                .count();
-            best = best.max(confined.div_ceil(width));
-        }
+    match ScheduleWindows::compute(dfg, latency) {
+        Some(w) => w.interval_bound(dfg, ip_type, 1),
+        None => usize::MAX, // infeasible latency: no finite resource count helps
     }
-    best
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use troy_dfg::{
-    min_concurrency, parse_dfg, random_dfg, write_dfg, IpTypeId, RandomDfgConfig, ScheduleWindows,
+    min_concurrency, parse_dfg, random_dfg, write_dfg, Dfg, IpTypeId, RandomDfgConfig,
+    ScheduleWindows,
 };
 
 fn config() -> impl Strategy<Value = (RandomDfgConfig, u64)> {
@@ -19,6 +20,24 @@ fn config() -> impl Strategy<Value = (RandomDfgConfig, u64)> {
             )
         },
     )
+}
+
+/// The interval bound by direct scan, O(λ²·n): for every interval
+/// `[lo, hi]`, count the ops of `t` whose windows lie inside it. This is
+/// the reference that `ScheduleWindows::interval_bound` must agree with.
+fn interval_bound_by_scan(g: &Dfg, w: &ScheduleWindows, t: IpTypeId, copies: usize) -> usize {
+    let latency = w.latency();
+    let mut best = 0usize;
+    for lo in 1..=latency {
+        for hi in lo..=latency {
+            let confined = g
+                .node_ids()
+                .filter(|&n| g.kind(n).ip_type() == t && w.asap(n) >= lo && w.alap(n) <= hi)
+                .count();
+            best = best.max((copies * confined).div_ceil(hi - lo + 1));
+        }
+    }
+    best
 }
 
 proptest! {
@@ -68,6 +87,24 @@ proptest! {
             let tight = min_concurrency(&g, cp, t);
             let loose = min_concurrency(&g, cp + 3, t);
             prop_assert!(loose <= tight);
+        }
+    }
+
+    #[test]
+    fn interval_bound_matches_the_direct_scan((cfg, seed) in config()) {
+        let g = random_dfg(&cfg, seed);
+        let cp = g.critical_path_len();
+        for latency in cp..=cp + 6 {
+            let w = ScheduleWindows::compute(&g, latency).expect("latency >= critical path");
+            for t in IpTypeId::all() {
+                for copies in [1, 2] {
+                    prop_assert_eq!(
+                        w.interval_bound(&g, t, copies),
+                        interval_bound_by_scan(&g, &w, t, copies)
+                    );
+                }
+                prop_assert_eq!(min_concurrency(&g, latency, t), w.interval_bound(&g, t, 1));
+            }
         }
     }
 

@@ -285,6 +285,38 @@ impl CachedEntry {
     }
 }
 
+/// Most entries the memory layer of a [`ResultCache`] holds.
+const MEMORY_CAPACITY: usize = 4096;
+
+type Generation = HashMap<CacheKey, CachedEntry>;
+
+/// The memory layer: two generations of at most `MEMORY_CAPACITY / 2`
+/// entries each. New and re-used entries go into `young`; when `young`
+/// fills it becomes `old`, and the previous `old` generation is retired.
+/// So an entry survives as long as it is used at least once per
+/// `MEMORY_CAPACITY / 2` insertions. A key is in at most one generation.
+#[derive(Debug, Default)]
+struct Generations {
+    young: Generation,
+    old: Generation,
+}
+
+impl Generations {
+    fn len(&self) -> usize {
+        self.young.len() + self.old.len()
+    }
+
+    /// Inserts into `young`. Returns the retired generation when `young`
+    /// filled up, for the caller to drop after releasing the lock.
+    #[must_use]
+    fn insert(&mut self, key: CacheKey, entry: CachedEntry) -> Option<Generation> {
+        self.old.remove(&key);
+        self.young.insert(key, entry);
+        (self.young.len() >= MEMORY_CAPACITY / 2)
+            .then(|| std::mem::replace(&mut self.old, std::mem::take(&mut self.young)))
+    }
+}
+
 /// Two-layer (memory + optional disk) result cache, shareable across the
 /// batch pool's worker threads.
 ///
@@ -295,9 +327,13 @@ impl CachedEntry {
 /// re-validation on load are **quarantined** — renamed to
 /// `<fingerprint>.json.corrupt` — instead of being silently re-read on
 /// every lookup; [`ResultCache::quarantined`] counts them.
+///
+/// The memory layer holds at most `MEMORY_CAPACITY` (4096) entries, so a
+/// long-lived daemon fed a stream of fresh keys stays bounded. The disk
+/// layer is not bounded.
 #[derive(Debug)]
 pub struct ResultCache {
-    memory: Mutex<HashMap<CacheKey, CachedEntry>>,
+    memory: Mutex<Generations>,
     dir: Option<PathBuf>,
     quarantined: std::sync::atomic::AtomicUsize,
 }
@@ -307,7 +343,7 @@ impl ResultCache {
     #[must_use]
     pub fn in_memory() -> Self {
         ResultCache {
-            memory: Mutex::new(HashMap::new()),
+            memory: Mutex::new(Generations::default()),
             dir: None,
             quarantined: std::sync::atomic::AtomicUsize::new(0),
         }
@@ -323,7 +359,7 @@ impl ResultCache {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(ResultCache {
-            memory: Mutex::new(HashMap::new()),
+            memory: Mutex::new(Generations::default()),
             dir: Some(dir),
             quarantined: std::sync::atomic::AtomicUsize::new(0),
         })
@@ -354,15 +390,25 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Looks up `key`, re-validating against `problem`. Disk hits are
-    /// promoted into the memory layer; invalid entries are misses, and a
-    /// disk file that fails parsing or re-validation is quarantined (see
-    /// the type docs) so it is never re-read.
+    /// Looks up `key`, re-validating against `problem`. Hits in the old
+    /// generation and on disk are promoted into the young generation of
+    /// the memory layer; invalid entries are misses, and a disk file that
+    /// fails parsing or re-validation is quarantined (see the type docs)
+    /// so it is never re-read.
     #[must_use]
     pub fn lookup(&self, key: &CacheKey, problem: &SynthesisProblem) -> Option<PortfolioResult> {
-        if let Some(entry) = self.memory.lock().expect("cache lock").get(key) {
+        let mut memory = self.memory.lock().expect("cache lock");
+        if let Some(entry) = memory.young.get(key) {
             return entry.to_result(problem);
         }
+        if let Some(entry) = memory.old.remove(key) {
+            let result = entry.to_result(problem);
+            let retired = memory.insert(*key, entry);
+            drop(memory);
+            drop(retired);
+            return result;
+        }
+        drop(memory);
         let dir = self.dir.as_ref()?;
         let path = dir.join(format!("{key}.json"));
         let text = std::fs::read_to_string(&path).ok()?;
@@ -378,7 +424,8 @@ impl ResultCache {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             return None;
         };
-        self.memory.lock().expect("cache lock").insert(*key, entry);
+        let retired = self.memory.lock().expect("cache lock").insert(*key, entry);
+        drop(retired);
         Some(result)
     }
 
@@ -392,7 +439,8 @@ impl ResultCache {
         if let Some(dir) = &self.dir {
             let _ = write_atomic(dir, &format!("{key}.json"), entry.to_json().as_bytes());
         }
-        self.memory.lock().expect("cache lock").insert(*key, entry);
+        let retired = self.memory.lock().expect("cache lock").insert(*key, entry);
+        drop(retired);
     }
 }
 
@@ -644,6 +692,28 @@ mod tests {
             from_cache: false,
             elapsed: Duration::ZERO,
         }
+    }
+
+    #[test]
+    fn memory_layer_is_bounded_and_keeps_recently_used_keys() {
+        let p = fig5();
+        let result = solved(&p);
+        let cache = ResultCache::in_memory();
+        let (kept, dropped) = (CacheKey(u64::MAX, 0), CacheKey(u64::MAX, 1));
+        cache.store(&kept, &result);
+        cache.store(&dropped, &result);
+        for i in 0..(3 * MEMORY_CAPACITY) as u64 {
+            cache.store(&CacheKey(i, 0), &result);
+            assert!(cache.len() <= MEMORY_CAPACITY);
+            if i % 1000 == 0 {
+                assert!(cache.lookup(&kept, &p).is_some(), "recently used");
+            }
+        }
+        assert!(cache.lookup(&kept, &p).is_some(), "recently used");
+        assert!(cache.lookup(&dropped, &p).is_none(), "never used again");
+        assert!(cache.lookup(&CacheKey(0, 0), &p).is_none(), "oldest store");
+        let last = CacheKey(3 * MEMORY_CAPACITY as u64 - 1, 0);
+        assert!(cache.lookup(&last, &p).is_some(), "latest store");
     }
 
     #[test]

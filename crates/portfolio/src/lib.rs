@@ -11,7 +11,7 @@
 //!   deadline the best incumbent is returned marked timed-out — the
 //!   paper's `*` semantics, now across a whole portfolio;
 //! - [`solve_batch`] spreads **many** independent problems (all table
-//!   rows, sweep grids) over a work-stealing thread pool ([`pool`]);
+//!   rows, sweep grids) over a work-stealing thread pool ([`run_indexed`]);
 //! - [`ResultCache`] memoizes outcomes under a canonical content hash of
 //!   the problem ([`cache_key`]), in memory and as on-disk JSON, so a
 //!   re-run of an unchanged experiment grid costs milliseconds.

@@ -384,7 +384,7 @@ enum RungVerdict {
 /// Per relaxation step (0, then +1 latency up to the cap while
 /// degradation is allowed), each non-demoted ladder rung gets a slice of
 /// the remaining deadline (an even share over the rungs of its kind still
-/// ahead: the provers split it, see [`runnable_rungs`]), enforced as a
+/// ahead: the provers split it, see `runnable_rungs`), enforced as a
 /// [`Cancellation::child_with_deadline`]
 /// token chained under `config.options.cancel`; within a rung, transient
 /// faults retry up to `config.max_retries` times with jittered

@@ -222,9 +222,10 @@ impl PlantedTrojan {
 /// Instantiates `spec` against a synthesized design.
 ///
 /// The primary infected product is drawn (seeded by `spec.entry_seed`)
-/// from the licenses the implementation actually uses; coalition members
-/// are further products of the *same IP type*, so an operation's NC and RC
-/// copies can both be hit. Clean specs yield an empty library.
+/// from the licenses the implementation's detection copies (NC or RC)
+/// use; coalition members are further products of the *same IP type*, so
+/// an operation's NC and RC copies can both be hit. Clean specs yield an
+/// empty library.
 #[must_use]
 pub fn plant(
     spec: &TrojanSpec,
@@ -245,8 +246,20 @@ pub fn plant(
     }
 
     let mut rng = StdRng::seed_from_u64(spec.entry_seed);
+    let dfg = problem.dfg();
     let licenses: Vec<License> = implementation.licenses_used(problem).into_iter().collect();
-    let primary = licenses[rng.random_range(0..licenses.len())];
+    // The primary product comes from the licenses some NC or RC copy uses:
+    // a product only recovery copies use has no victim to craft for, so
+    // its trigger could never fire.
+    let in_detection = |l: &License| {
+        implementation.iter().any(|(copy, a)| {
+            copy.role != Role::Recovery
+                && a.vendor == l.vendor
+                && dfg.kind(copy.op).ip_type() == l.ip_type
+        })
+    };
+    let detection: Vec<License> = licenses.iter().copied().filter(in_detection).collect();
+    let primary = detection[rng.random_range(0..detection.len())];
     planted.mask = rarity_mask(spec.rarity_bits);
     planted.pattern = rng.random::<u64>() & planted.mask;
 
@@ -254,7 +267,6 @@ pub fn plant(
     // override, whose detection-phase copies touch the infected vendor.
     // Leaf ops are preferred — their crafted value *is* operand `a`, which
     // is the only operand sequential triggers watch.
-    let dfg = problem.dfg();
     let is_candidate = |o: NodeId| {
         dfg.kind(o).ip_type() == primary.ip_type
             && dfg.node(o).primary_inputs() > 0
@@ -400,6 +412,38 @@ mod tests {
         assert!([Role::Nc, Role::Rc]
             .iter()
             .any(|&r| imp.assignment(victim, r).map(|a| a.vendor) == Some(primary.vendor)));
+    }
+
+    /// Two independent leaf adds: NC on vendor 0, RC on vendor 1, recovery
+    /// on vendor 2. Vendor 2's adder serves only recovery copies, so no
+    /// victim could be crafted for it.
+    #[test]
+    fn recovery_only_license_is_never_the_primary() {
+        let mut g = troy_dfg::Dfg::new("pair");
+        g.add_op(troy_dfg::OpKind::Add);
+        g.add_op(troy_dfg::OpKind::Add);
+        let p = SynthesisProblem::builder(g, Catalog::table1())
+            .mode(Mode::DetectionRecovery)
+            .detection_latency(1)
+            .recovery_latency(1)
+            .build()
+            .unwrap();
+        let mut imp = Implementation::new(2);
+        for op in [NodeId::new(0), NodeId::new(1)] {
+            for (role, cycle, vendor) in
+                [(Role::Nc, 1, 0), (Role::Rc, 1, 1), (Role::Recovery, 2, 2)]
+            {
+                let vendor = troyhls::VendorId::new(vendor);
+                imp.assign(op, role, troyhls::Assignment { cycle, vendor });
+            }
+        }
+        assert!(troyhls::validate(&p, &imp).is_empty());
+        for spec in generate_corpus(&CorpusConfig::default(), 42) {
+            let planted = plant(&spec, &p, &imp);
+            if spec.kind != PayloadKind::Clean {
+                assert!(planted.victim.is_some(), "{spec:?}: {:?}", planted.infected);
+            }
+        }
     }
 
     #[test]
