@@ -126,7 +126,6 @@ fn table_specs(which: usize) -> (&'static str, Vec<RowSpec>) {
 /// same exact engine as [`troy_bench::run_row`].
 fn solve_table(specs: &[RowSpec]) -> Vec<RowResult> {
     let config = BatchConfig {
-        portfolio: false,
         options: harness_options(),
         ..BatchConfig::default()
     };

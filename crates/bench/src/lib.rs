@@ -4,8 +4,8 @@
 //! for side-by-side comparison.
 //!
 //! The binaries `tables` and `figures` regenerate every table and figure;
-//! the Criterion benches under `benches/` measure the solvers and the
-//! run-time simulator on the same grid.
+//! `tables`, `ilp-bench`, `campaign-bench` and `cluster-bench` also check
+//! their committed `BENCH_*.json` records with `--check`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -192,11 +192,11 @@ pub fn run_row(spec: &RowSpec, options: &SolveOptions) -> RowResult {
     }
 }
 
-/// Runs a whole table's rows concurrently over the portfolio batch pool,
-/// returning results in spec order.
+/// Runs a whole table's rows concurrently over the batch pool, returning
+/// results in spec order.
 ///
-/// With `config.portfolio` off and [`troy_portfolio::Backend::Exact`]
-/// selected (the [`BatchConfig::default`] backend) every row is solved by
+/// With [`troy_portfolio::Backend::Exact`] selected (the
+/// [`BatchConfig::default`] backend) every row is solved by
 /// the same engine [`run_row`] uses, so the two paths agree row for row;
 /// the win is wall-clock (rows spread over `config.jobs` workers) and,
 /// when `cache` is given, free re-runs of unchanged grids.
@@ -362,7 +362,6 @@ mod tests {
         let specs = vec![table3_specs()[0], table3_specs()[1]];
         let config = BatchConfig {
             jobs: 2,
-            portfolio: false,
             options: SolveOptions::quick(),
             ..BatchConfig::default()
         };
@@ -385,7 +384,6 @@ mod tests {
         let specs = vec![table3_specs()[0]];
         let config = BatchConfig {
             jobs: 1,
-            portfolio: false,
             options: SolveOptions::quick(),
             ..BatchConfig::default()
         };

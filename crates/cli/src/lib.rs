@@ -22,8 +22,6 @@
 //!   --lambda-rec N                recovery window    (default: critical path)
 //!   --area N                      area cap           (default: unlimited)
 //!   --solver exact|greedy|ilp|annealing              (default exact)
-//!   --portfolio                   race all four back ends, best wins
-//!   --jobs N                      racing threads     (default: TROY_JOBS/cores)
 //!   --cache-dir DIR               content-addressed result cache on disk
 //!   --time-limit SECS             solve budget       (default 60)
 //!   --chart --dot --markdown --verilog --vcd         extra report sections
@@ -36,7 +34,7 @@
 //! synth resilience options (any of them engages the supervisor, which
 //! runs the degradation ladder exact → ILP → annealing → greedy with
 //! per-rung deadlines, retry/backoff and panic isolation; incompatible
-//! with --solver, --portfolio and --cache-dir):
+//! with --solver and --cache-dir):
 //!   --deadline DUR                total wall-clock budget, e.g. 2s, 500ms
 //!   --max-retries N               retries per rung for transient faults
 //!   --no-degrade                  fail instead of descending the ladder
@@ -47,7 +45,6 @@
 //! batch options (regenerates the paper's experiment grid concurrently):
 //!   table3|table4|all             which grid         (default all)
 //!   --jobs N                      pool workers       (default: TROY_JOBS/cores)
-//!   --portfolio                   race all back ends per row (default: exact)
 //!   --cache-dir DIR               content-addressed result cache on disk
 //!   --time-limit SECS             per-row budget     (default 60)
 //!   --bench-json FILE             also time a sequential pass and write a
@@ -152,9 +149,7 @@ use std::time::{Duration, Instant};
 use troy_analysis::{AnalysisOptions, Analyzer, Code, Diagnostic, FixIt, Severity};
 use troy_bench::{format_table, harness_options, run_rows, table3_specs, table4_specs};
 use troy_dfg::{parse_dfg, Dfg};
-use troy_portfolio::{
-    cache_key, default_jobs, race, Backend, BatchConfig, PortfolioResult, ResultCache,
-};
+use troy_portfolio::{cache_key, default_jobs, Backend, BatchConfig, PortfolioResult, ResultCache};
 use troy_resilience::{
     parse_duration, supervise, Chaos, Supervised, SupervisorConfig, CHAOS_PANIC_MARKER,
 };
@@ -426,7 +421,6 @@ fn open_cache(dir: Option<&str>) -> Result<Option<ResultCache>, CliError> {
 fn batch(args: &[String], out: &mut String) -> Result<(), CliError> {
     let mut which = "all".to_owned();
     let mut jobs: Option<usize> = None;
-    let mut portfolio = false;
     let mut cache_dir: Option<String> = None;
     let mut time_limit = 60u64;
     let mut bench_json: Option<String> = None;
@@ -438,7 +432,6 @@ fn batch(args: &[String], out: &mut String) -> Result<(), CliError> {
             "--jobs" => {
                 jobs = Some(parse_jobs(take_value(args, &mut i, "--jobs")?)?);
             }
-            "--portfolio" => portfolio = true,
             "--cache-dir" => {
                 cache_dir = Some(take_value(args, &mut i, "--cache-dir")?.to_owned());
             }
@@ -477,7 +470,6 @@ fn batch(args: &[String], out: &mut String) -> Result<(), CliError> {
 
     let config = BatchConfig {
         jobs: jobs.unwrap_or_else(default_jobs),
-        portfolio,
         options: SolveOptions {
             time_limit: Duration::from_secs(time_limit),
             ..harness_options()
@@ -511,7 +503,7 @@ fn batch(args: &[String], out: &mut String) -> Result<(), CliError> {
             "{short}: {} rows in {elapsed:.2}s (jobs {}, engine {})\n",
             specs.len(),
             config.jobs,
-            config.engine(),
+            config.backend.name(),
         );
         measured.push((*short, specs.len(), sequential, elapsed));
     }
@@ -530,7 +522,7 @@ fn bench_record(config: &BatchConfig, measured: &[(&str, usize, Option<f64>, f64
     let speedup = |seq: f64, par: f64| if par > 0.0 { seq / par } else { 0.0 };
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"jobs\": {},", config.jobs);
-    let _ = writeln!(json, "  \"engine\": \"{}\",", config.engine());
+    let _ = writeln!(json, "  \"engine\": \"{}\",", config.backend.name());
     let _ = writeln!(json, "  \"tables\": [");
     for (i, (short, rows, sequential, parallel)) in measured.iter().enumerate() {
         let seq = sequential.unwrap_or(0.0);
@@ -1077,14 +1069,16 @@ fn daemon_roundtrips(
         reader
             .read_line(&mut line)
             .map_err(|e| err(format!("campaign: read from daemon: {e}")))?;
-        let id = scan_json_str(&line, "id").unwrap_or("<none>");
+        let reply = troy_service::Json::parse(&line).unwrap_or(troy_service::Json::Null);
+        let field = |key| reply.get(key).and_then(troy_service::Json::as_str);
+        let id = field("id").unwrap_or("<none>");
         if id != c.id {
             return Err(err(format!(
                 "campaign: daemon answered out of order: expected `{}`, got `{id}`",
                 c.id
             )));
         }
-        let status = scan_json_str(&line, "status").unwrap_or("<none>");
+        let status = field("status").unwrap_or("<none>");
         if status != "ok" && status != "degraded" {
             return Err(err(format!(
                 "campaign: daemon rejected cell `{}`: status `{status}`",
@@ -1092,12 +1086,15 @@ fn daemon_roundtrips(
             )));
         }
         if status == "ok" {
-            let cost = scan_json_u64(&line, "cost").ok_or_else(|| {
-                err(format!(
-                    "campaign: daemon response for `{}` lacks a cost",
-                    c.id
-                ))
-            })?;
+            let cost = reply
+                .get("cost")
+                .and_then(troy_service::Json::as_u64)
+                .ok_or_else(|| {
+                    err(format!(
+                        "campaign: daemon response for `{}` lacks a cost",
+                        c.id
+                    ))
+                })?;
             let key = (c.benchmark.clone(), troy_sim::mode_tag(c.mode));
             if let Some(&prior) = costs.get(&key) {
                 if prior != cost {
@@ -1114,24 +1111,6 @@ fn daemon_roundtrips(
         ok += 1;
     }
     Ok(ok)
-}
-
-/// Pulls `"key":"value"` out of the daemon's fixed no-spaces JSON format.
-fn scan_json_str<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":\"");
-    let at = text.find(&tag)? + tag.len();
-    text[at..].split('"').next()
-}
-
-/// Pulls `"key":<integer>` out of the daemon's fixed no-spaces JSON format.
-fn scan_json_u64(text: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let at = text.find(&tag)? + tag.len();
-    let digits: String = text[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
 }
 
 /// Quietens the process panic hook for *injected* chaos panics (their
@@ -1208,8 +1187,6 @@ fn synth(target: &str, args: &[String], out: &mut String) -> Result<i32, CliErro
     let mut flags = ProblemFlags::new();
     let mut solver_name: Option<String> = None;
     let mut time_limit = 60u64;
-    let mut portfolio = false;
-    let mut jobs: Option<usize> = None;
     let mut cache_dir: Option<String> = None;
     let mut deadline: Option<Duration> = None;
     let mut max_retries: Option<usize> = None;
@@ -1228,10 +1205,6 @@ fn synth(target: &str, args: &[String], out: &mut String) -> Result<i32, CliErro
         match args[i].as_str() {
             "--solver" => {
                 solver_name = Some(take_value(args, &mut i, "--solver")?.to_owned());
-            }
-            "--portfolio" => portfolio = true,
-            "--jobs" => {
-                jobs = Some(parse_jobs(take_value(args, &mut i, "--jobs")?)?);
             }
             "--cache-dir" => {
                 cache_dir = Some(take_value(args, &mut i, "--cache-dir")?.to_owned());
@@ -1274,11 +1247,10 @@ fn synth(target: &str, args: &[String], out: &mut String) -> Result<i32, CliErro
 
     let supervised_run =
         deadline.is_some() || max_retries.is_some() || no_degrade || chaos_seed.is_some();
-    if supervised_run && (solver_name.is_some() || portfolio || cache_dir.is_some()) {
+    if supervised_run && (solver_name.is_some() || cache_dir.is_some()) {
         return Err(err(
             "resilience flags (--deadline/--max-retries/--no-degrade/--chaos-seed) pick \
-             their own back ends and bypass the result cache; drop --solver, --portfolio \
-             and --cache-dir",
+             their own back ends and bypass the result cache; drop --solver and --cache-dir",
         ));
     }
 
@@ -1315,13 +1287,7 @@ fn synth(target: &str, args: &[String], out: &mut String) -> Result<i32, CliErro
                 e.degradation.summary().trim_end()
             ))
         })?;
-        let solved = PortfolioResult {
-            timed_out: !sup.synthesis.proven_optimal,
-            synthesis: sup.synthesis.clone(),
-            winner: sup.backend,
-            from_cache: false,
-            elapsed: sup.elapsed,
-        };
+        let solved = PortfolioResult::fresh(sup.backend, sup.synthesis.clone(), sup.elapsed);
         let label = format!("supervised[{}]", sup.backend);
         let solved_problem = sup.problem.clone();
         (solved, label, solved_problem, Some(sup))
@@ -1332,44 +1298,24 @@ fn synth(target: &str, args: &[String], out: &mut String) -> Result<i32, CliErro
             }
             None => Backend::Exact,
         };
-        let engine = if portfolio {
-            "portfolio"
-        } else {
-            backend.name()
-        };
         let cache = open_cache(cache_dir.as_deref())?;
-        let key = cache_key(&problem, engine, &options);
+        let key = cache_key(&problem, backend.name(), &options);
 
         let solved = if let Some(hit) = cache.as_ref().and_then(|c| c.lookup(&key, &problem)) {
             hit
         } else {
-            let fresh = if portfolio {
-                race(&problem, &options, jobs.unwrap_or_else(default_jobs))
-            } else {
-                let t0 = Instant::now();
-                backend
-                    .solver()
-                    .synthesize(&problem, &options)
-                    .map(|s| PortfolioResult {
-                        timed_out: !s.proven_optimal,
-                        synthesis: s,
-                        winner: backend,
-                        from_cache: false,
-                        elapsed: t0.elapsed(),
-                    })
-            }
-            .map_err(|e| err(format!("synthesis failed: {e}")))?;
+            let t0 = Instant::now();
+            let fresh = backend
+                .solver()
+                .synthesize(&problem, &options)
+                .map(|s| PortfolioResult::fresh(backend, s, t0.elapsed()))
+                .map_err(|e| err(format!("synthesis failed: {e}")))?;
             if let Some(cache) = &cache {
                 cache.store(&key, &fresh);
             }
             fresh
         };
-        let label = if portfolio {
-            format!("portfolio[{}]", solved.winner)
-        } else {
-            backend.name().to_owned()
-        };
-        (solved, label, problem, None)
+        (solved, backend.name().to_owned(), problem, None)
     };
     let problem = solved_problem;
     let result = &solved.synthesis;
@@ -1919,29 +1865,6 @@ mod tests {
     }
 
     #[test]
-    fn synth_portfolio_races_to_the_motivational_optimum() {
-        let out = cli(&[
-            "synth",
-            "polynom",
-            "--catalog",
-            "table1",
-            "--lambda-det",
-            "4",
-            "--lambda-rec",
-            "3",
-            "--area",
-            "22000",
-            "--portfolio",
-            "--jobs",
-            "2",
-        ])
-        .unwrap();
-        assert!(out.contains("portfolio[exact]"), "{out}");
-        assert!(out.contains("$4160"), "{out}");
-        assert!(!out.contains("best effort"), "{out}");
-    }
-
-    #[test]
     fn synth_deadline_engages_the_supervisor() {
         let (out, code) = cli_with_code(&[
             "synth",
@@ -1961,19 +1884,24 @@ mod tests {
     }
 
     #[test]
-    fn synth_resilience_flags_reject_solver_portfolio_and_cache() {
-        for extra in [
-            ["--solver", "exact"],
-            ["--portfolio", "--jobs"],
-            ["--cache-dir", "/tmp/x"],
-        ] {
+    fn synth_resilience_flags_reject_solver_and_cache() {
+        for extra in [["--solver", "exact"], ["--cache-dir", "/tmp/x"]] {
             let mut args = vec!["synth", "polynom", "--deadline", "2s"];
-            args.extend(extra.iter().filter(|a| !a.is_empty()));
-            if args.contains(&"--jobs") {
-                args.push("2");
-            }
+            args.extend(extra);
             let e = cli(&args).unwrap_err();
             assert!(e.0.contains("resilience flags"), "{args:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn synth_and_batch_have_no_race_flags() {
+        for args in [
+            vec!["synth", "polynom", "--portfolio"],
+            vec!["synth", "polynom", "--jobs", "2"],
+            vec!["batch", "table3", "--portfolio"],
+        ] {
+            let e = cli(&args).unwrap_err();
+            assert!(e.0.contains("unknown"), "{args:?}: {e}");
         }
     }
 

@@ -21,7 +21,7 @@ pub struct SolveOptions {
     pub node_limit: usize,
     /// Cooperative cancellation/deadline token. Solvers poll it in their
     /// inner loops (alongside `time_limit`) and wind down gracefully when
-    /// it expires — the hook the portfolio racer and batch deadlines use.
+    /// it expires — the hook the supervisor and batch deadlines use.
     pub cancel: Cancellation,
     /// Simplex engine for the ILP back end's LP relaxations (ignored by
     /// the non-ILP back ends). The dense baseline exists for cross-checks

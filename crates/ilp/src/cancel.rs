@@ -1,24 +1,24 @@
 //! Cooperative cancellation for long-running solves.
 //!
 //! A [`Cancellation`] is a cheap, cloneable handle shared between a solve
-//! running on one thread and whoever supervises it on another (a portfolio
-//! racing several back ends, a batch scheduler enforcing a global deadline,
-//! a CLI reacting to Ctrl-C). Solvers poll [`Cancellation::is_expired`] in
+//! running on one thread and whoever supervises it on another (a
+//! supervisor giving each back end a slice of a deadline, a batch
+//! scheduler enforcing a global deadline, a CLI reacting to Ctrl-C). Solvers poll [`Cancellation::is_expired`] in
 //! their inner loops and wind down gracefully — returning their best
 //! incumbent where they have one, exactly like hitting a time limit.
 //!
 //! Two independent trip conditions, whichever fires first:
 //!
 //! - an explicit [`Cancellation::cancel`] call from any holder of a clone
-//!   (first-proven-optimal-wins racing);
+//!   (a caller giving up, or a spurious cancellation injected by chaos);
 //! - an absolute wall-clock [deadline](Cancellation::with_deadline)
 //!   (shared budget across a whole batch, not per-solve).
 //!
 //! Tokens form a hierarchy via [`Cancellation::child`]: cancelling a
 //! parent cancels every descendant, while cancelling a child leaves its
-//! parent (and siblings) running. A portfolio hands each racing back end
-//! its own child so a proven-optimal winner can stop exactly the rivals
-//! that can no longer win.
+//! parent (and siblings) running. The supervisor hands each attempt its
+//! own deadline-bounded child, so one rung running out of time leaves the
+//! rest of the run its budget.
 //!
 //! The default token never expires, so single-solver callers pay one
 //! relaxed atomic load per poll and nothing else.

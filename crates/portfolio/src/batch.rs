@@ -3,7 +3,7 @@
 //! The paper's experiment grid (twelve Table 3 rows, twelve Table 4
 //! rows, sweep curves) is embarrassingly parallel across rows; this
 //! module spreads the rows over [`crate::run_indexed`] while each row
-//! runs its portfolio sequentially, so `jobs` bounds total solver
+//! runs one back end on its worker, so `jobs` bounds total solver
 //! threads. Results come back in input order and, with a cache attached,
 //! repeated grids are served from content-addressed hits.
 
@@ -11,19 +11,17 @@ use std::time::Instant;
 
 use troyhls::{SolveOptions, SynthesisError, SynthesisProblem};
 
+use crate::backend::{synthesize_isolated, Backend, PortfolioResult};
 use crate::cache::{cache_key, ResultCache};
 use crate::pool::run_indexed;
-use crate::race::{race, synthesize_isolated, Backend, PortfolioResult};
 
 /// How a batch runs.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Worker threads for the pool (clamped to the number of problems).
     pub jobs: usize,
-    /// `true` races all four back ends per problem; `false` runs only
-    /// [`BatchConfig::backend`].
-    pub portfolio: bool,
-    /// The single back end used when `portfolio` is off.
+    /// The back end every row runs; its [`Backend::name`] is the
+    /// rows' cache-key tag.
     pub backend: Backend,
     /// Per-problem budget (its `cancel` token is the whole batch's
     /// parent: cancelling it stops every row).
@@ -34,21 +32,8 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             jobs: default_jobs(),
-            portfolio: true,
             backend: Backend::Exact,
             options: SolveOptions::default(),
-        }
-    }
-}
-
-impl BatchConfig {
-    /// The cache-key engine tag this configuration solves under.
-    #[must_use]
-    pub fn engine(&self) -> &'static str {
-        if self.portfolio {
-            "portfolio"
-        } else {
-            self.backend.name()
         }
     }
 }
@@ -85,7 +70,7 @@ fn solve_one(
     config: &BatchConfig,
     cache: Option<&ResultCache>,
 ) -> Result<PortfolioResult, SynthesisError> {
-    let key = cache_key(problem, config.engine(), &config.options);
+    let key = cache_key(problem, config.backend.name(), &config.options);
     if let Some(hit) = cache.and_then(|c| c.lookup(&key, problem)) {
         return Ok(hit);
     }
@@ -93,18 +78,9 @@ fn solve_one(
         .options
         .clone()
         .with_cancel(config.options.cancel.child());
-    let result = if config.portfolio {
-        race(problem, &options, 1)
-    } else {
-        let t0 = Instant::now();
-        synthesize_isolated(config.backend, problem, &options).map(|s| PortfolioResult {
-            timed_out: !s.proven_optimal,
-            synthesis: s,
-            winner: config.backend,
-            from_cache: false,
-            elapsed: t0.elapsed(),
-        })
-    };
+    let t0 = Instant::now();
+    let result = synthesize_isolated(config.backend, problem, &options)
+        .map(|s| PortfolioResult::fresh(config.backend, s, t0.elapsed()));
     if let (Some(cache), Ok(r)) = (cache, &result) {
         cache.store(&key, r);
     }
@@ -137,7 +113,6 @@ mod tests {
         let problems = quick_problems();
         let config = BatchConfig {
             jobs: 2,
-            portfolio: false,
             backend: Backend::Greedy,
             options: SolveOptions::quick(),
         };
@@ -156,7 +131,6 @@ mod tests {
         let problems = quick_problems();
         let config = BatchConfig {
             jobs: 1,
-            portfolio: false,
             backend: Backend::Greedy,
             options: SolveOptions::quick(),
         };
@@ -184,11 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_tag_tracks_configuration() {
-        let mut config = BatchConfig::default();
-        assert_eq!(config.engine(), "portfolio");
-        config.portfolio = false;
-        config.backend = Backend::Annealing;
-        assert_eq!(config.engine(), "annealing");
+    fn default_rows_key_under_the_exact_tag() {
+        // The tag is part of every on-disk batch key: changing it would
+        // orphan existing cache directories.
+        assert_eq!(BatchConfig::default().backend.name(), "exact");
     }
 }

@@ -24,7 +24,7 @@ use troyhls::{
     Assignment, Implementation, Mode, Role, SolveOptions, Synthesis, SynthesisProblem, VendorId,
 };
 
-use crate::race::{Backend, PortfolioResult};
+use crate::backend::{Backend, PortfolioResult};
 
 /// 128-bit content fingerprint, rendered as 32 hex digits (also the
 /// on-disk file stem).
@@ -98,8 +98,8 @@ impl Fingerprint {
 
 /// Canonical fingerprint of `(problem, engine, budget)`.
 ///
-/// `engine` names what will solve the problem (`"portfolio"` or a
-/// [`Backend::name`]); the budget is part of the key because timed-out
+/// `engine` names what will solve the problem (a [`Backend::name`], or
+/// `"serve"` for the daemon's supervised answers); the budget is part of the key because timed-out
 /// best-effort answers legitimately differ across budgets.
 #[must_use]
 pub fn cache_key(problem: &SynthesisProblem, engine: &str, options: &SolveOptions) -> CacheKey {
@@ -164,7 +164,7 @@ pub struct CachedEntry {
 }
 
 impl CachedEntry {
-    /// Snapshot of a portfolio result.
+    /// Snapshot of a solved result.
     #[must_use]
     pub fn from_result(r: &PortfolioResult) -> Self {
         CachedEntry {
@@ -685,13 +685,7 @@ mod tests {
         let s = ExactSolver::new()
             .synthesize(problem, &SolveOptions::quick())
             .expect("figure 5 is feasible");
-        PortfolioResult {
-            timed_out: !s.proven_optimal,
-            synthesis: s,
-            winner: Backend::Exact,
-            from_cache: false,
-            elapsed: Duration::ZERO,
-        }
+        PortfolioResult::fresh(Backend::Exact, s, Duration::ZERO)
     }
 
     #[test]
@@ -868,5 +862,28 @@ mod tests {
         assert_eq!(hit.synthesis.cost, 4160);
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Pins the digests that name on-disk entries. A change here orphans
+    /// every existing cache directory, so it must be deliberate: batch
+    /// rows key under `"exact"` with the table harness budget
+    /// (`troy_bench::harness_options`: 60 s, 500k nodes), and the daemon
+    /// keys under `"serve"` with [`SolveOptions::default`].
+    #[test]
+    fn figure5_keys_match_their_golden_digests() {
+        let p = fig5();
+        let harness = SolveOptions {
+            time_limit: Duration::from_secs(60),
+            node_limit: 500_000,
+            ..SolveOptions::default()
+        };
+        assert_eq!(
+            cache_key(&p, "exact", &harness).to_string(),
+            "c3715beaa7a095c9e65d04b3f9e9de91"
+        );
+        assert_eq!(
+            cache_key(&p, "serve", &SolveOptions::default()).to_string(),
+            "75eef7b4371ad87976355d83638bc541"
+        );
     }
 }

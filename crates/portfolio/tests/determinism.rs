@@ -1,6 +1,6 @@
 //! Determinism regression suite: the same problems produce byte-identical
 //! reports whatever the execution strategy — sequential, parallel pool,
-//! cold cache or warm cache. This is what licenses the portfolio as a
+//! cold cache or warm cache. This is what licenses the batch pool as a
 //! drop-in replacement for the sequential table harness.
 
 use std::fmt::Write as _;
@@ -11,7 +11,7 @@ use troyhls::{Catalog, Mode, SolveOptions, SynthesisError, SynthesisProblem};
 
 /// Quick, fully solvable instances (three benchmarks × both modes) so
 /// every back end finishes well inside its budget — the regime where the
-/// portfolio guarantees determinism.
+/// batch pool guarantees determinism.
 fn grid() -> Vec<SynthesisProblem> {
     let mut out = Vec::new();
     for name in ["polynom", "diff2", "dtmf"] {
@@ -80,7 +80,6 @@ fn report(
 fn config(jobs: usize) -> BatchConfig {
     BatchConfig {
         jobs,
-        portfolio: true,
         options: SolveOptions::quick(),
         ..BatchConfig::default()
     }

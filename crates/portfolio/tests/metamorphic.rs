@@ -4,8 +4,8 @@
 //!
 //! - cost dominance: the exact optimum never exceeds the annealer's
 //!   cost, which never exceeds the greedy cost it was seeded from;
-//! - soundness: every design any back end (or the portfolio) emits
-//!   passes the independent validator and carries zero `TD`
+//! - soundness: every design any back end emits passes the independent
+//!   validator, reports its own license cost and carries zero `TD`
 //!   (design-rule) diagnostics from `troy-analysis`;
 //! - mode monotonicity: detection-only protection never costs more than
 //!   detection + recovery on the same DFG and catalog.
@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use troy_dfg::{random_dfg, RandomDfgConfig};
-use troy_portfolio::{race, Backend};
+use troy_portfolio::{synthesize_isolated, Backend};
 use troyhls::{validate, Catalog, Mode, SolveOptions, SynthesisProblem};
 
 fn opts() -> SolveOptions {
@@ -96,6 +96,7 @@ proptest! {
             if let Ok(s) = backend.solver().synthesize(&p, &o) {
                 let violations = validate(&p, &s.implementation);
                 prop_assert!(violations.is_empty(), "{backend}: {violations:?}");
+                prop_assert_eq!(s.implementation.license_cost(&p), s.cost, "{}", backend);
                 let report = troy_analysis::lint(&p, Some(&s.implementation));
                 let td: Vec<_> = report
                     .diagnostics
@@ -108,43 +109,23 @@ proptest! {
     }
 
     #[test]
-    fn portfolio_design_validates_and_lints_clean(
-        (ops, depth, mul, seed, slack) in small_instance(),
-        recovery in any::<bool>(),
-    ) {
-        let p = build(mode_of(recovery), ops, depth, mul, seed, slack);
-        if let Ok(r) = race(&p, &opts(), 1) {
-            let violations = validate(&p, &r.synthesis.implementation);
-            prop_assert!(violations.is_empty(), "{violations:?}");
-            prop_assert_eq!(r.synthesis.implementation.license_cost(&p), r.synthesis.cost);
-            let report = troy_analysis::lint(&p, Some(&r.synthesis.implementation));
-            let td = report
-                .diagnostics
-                .iter()
-                .filter(|d| d.code.as_str().starts_with("TD"))
-                .count();
-            prop_assert_eq!(td, 0);
-        }
-    }
-
-    #[test]
     fn detection_only_never_costs_more_than_full_recovery(
         (ops, depth, mul, seed, slack) in small_instance(),
     ) {
         let detect = build(Mode::DetectionOnly, ops, depth, mul, seed, slack);
         let recover = build(Mode::DetectionRecovery, ops, depth, mul, seed, slack);
         let o = opts();
-        let d = race(&detect, &o, 1);
-        let r = race(&recover, &o, 1);
+        let d = synthesize_isolated(Backend::Exact, &detect, &o);
+        let r = synthesize_isolated(Backend::Exact, &recover, &o);
         if let (Ok(d), Ok(r)) = (d, r) {
             // Only a meaningful comparison when both costs are proven:
             // best-effort incumbents may order either way.
-            if d.synthesis.proven_optimal && r.synthesis.proven_optimal {
+            if d.proven_optimal && r.proven_optimal {
                 prop_assert!(
-                    d.synthesis.cost <= r.synthesis.cost,
+                    d.cost <= r.cost,
                     "detection {} > recovery {}",
-                    d.synthesis.cost,
-                    r.synthesis.cost
+                    d.cost,
+                    r.cost
                 );
             }
         }

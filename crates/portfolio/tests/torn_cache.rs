@@ -7,8 +7,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use troy_dfg::benchmarks;
-use troy_portfolio::{cache_key, race, PortfolioResult, ResultCache};
-use troyhls::{validate, Cancellation, Catalog, Mode, SolveOptions, SynthesisProblem};
+use troy_portfolio::{cache_key, synthesize_isolated, Backend, PortfolioResult, ResultCache};
+use troyhls::{
+    validate, Cancellation, Catalog, Mode, SolveOptions, SynthesisError, SynthesisProblem,
+};
 
 fn fig5() -> SynthesisProblem {
     SynthesisProblem::builder(benchmarks::polynom(), Catalog::table1())
@@ -18,6 +20,12 @@ fn fig5() -> SynthesisProblem {
         .area_limit(22_000)
         .build()
         .expect("figure 5 instance is well-formed")
+}
+
+/// One exact solve, wrapped as the CLI and the batch pool store it.
+fn solve(p: &SynthesisProblem, options: &SolveOptions) -> Result<PortfolioResult, SynthesisError> {
+    synthesize_isolated(Backend::Exact, p, options)
+        .map(|s| PortfolioResult::fresh(Backend::Exact, s, Duration::ZERO))
 }
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -36,11 +44,11 @@ fn cancellation_racing_a_store_leaves_miss_or_valid() {
     let cache = ResultCache::on_disk(&dir).expect("create cache dir");
     let p = fig5();
     let options = SolveOptions::quick();
-    let key = cache_key(&p, "portfolio", &options);
+    let key = cache_key(&p, "exact", &options);
 
     // Solve once up front so the stores below are instant and the loop
     // exercises the write path, not the solver.
-    let solved = race(&p, &options, 1).expect("figure 5 is feasible");
+    let solved = solve(&p, &options).expect("figure 5 is feasible");
     assert_eq!(solved.synthesis.cost, 4160);
 
     let done = AtomicBool::new(false);
@@ -70,17 +78,17 @@ fn cancellation_racing_a_store_leaves_miss_or_valid() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A cancelled portfolio run that errors out stores nothing; the next,
-/// uncancelled run populates the cache normally.
+/// A cancelled run that errors out stores nothing; the next, uncancelled
+/// run populates the cache normally.
 #[test]
 fn cancelled_run_stores_nothing_and_recovers() {
     let dir = scratch("cancelled");
     let cache = ResultCache::on_disk(&dir).expect("create cache dir");
     let p = fig5();
 
-    // An already-cancelled token: the race falls through to its grace
-    // pass; whatever comes back, only a *successful* result is stored —
-    // mirroring how `solve_one`/the CLI wire cache stores.
+    // An already-cancelled token: the solver may stop with or without an
+    // incumbent; whatever comes back, only a *successful* result is
+    // stored — mirroring how `solve_one`/the CLI wire cache stores.
     let cancelled = Cancellation::new();
     cancelled.cancel();
     let options = SolveOptions {
@@ -88,8 +96,8 @@ fn cancelled_run_stores_nothing_and_recovers() {
         time_limit: Duration::from_millis(1),
         ..SolveOptions::quick()
     };
-    let key = cache_key(&p, "portfolio", &options);
-    if let Ok(r) = race(&p, &options, 1) {
+    let key = cache_key(&p, "exact", &options);
+    if let Ok(r) = solve(&p, &options) {
         assert!(validate(&p, &r.synthesis.implementation).is_empty());
         cache.store(&key, &r);
         let hit = cache.lookup(&key, &p).expect("stored entry hits");
@@ -100,8 +108,8 @@ fn cancelled_run_stores_nothing_and_recovers() {
 
     // Clean run under the same cache: stores and round-trips.
     let clean = SolveOptions::quick();
-    let clean_key = cache_key(&p, "portfolio", &clean);
-    let r = race(&p, &clean, 1).expect("figure 5 is feasible");
+    let clean_key = cache_key(&p, "exact", &clean);
+    let r = solve(&p, &clean).expect("figure 5 is feasible");
     cache.store(&clean_key, &r);
     assert_eq!(
         cache
@@ -123,9 +131,9 @@ fn preexisting_torn_file_is_quarantined() {
     std::fs::create_dir_all(&dir).unwrap();
     let p = fig5();
     let options = SolveOptions::quick();
-    let key = cache_key(&p, "portfolio", &options);
+    let key = cache_key(&p, "exact", &options);
 
-    let solved = race(&p, &options, 1).expect("figure 5 is feasible");
+    let solved = solve(&p, &options).expect("figure 5 is feasible");
     // Write a torn prefix directly (bypassing the atomic path), as a
     // crashed non-atomic writer would have.
     let full = serialize(&solved, &p);

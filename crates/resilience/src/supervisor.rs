@@ -28,7 +28,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use troy_ilp::Cancellation;
-use troy_portfolio::{synthesize_isolated, Backend};
+use troy_portfolio::{panic_message, synthesize_isolated, Backend};
 use troyhls::{SolveOptions, Synthesis, SynthesisError, SynthesisProblem};
 
 use crate::backoff::Backoff;
@@ -110,7 +110,8 @@ pub enum AttemptOutcome {
     /// The back end panicked (payload message); the backend is demoted.
     Panicked(String),
     /// The attempt's token was cancelled while the run had time left —
-    /// the transient class (racing sibling, chaos); retried with backoff.
+    /// the transient class (chaos, or a caller cancelling the parent
+    /// token); retried with backoff.
     SpuriousCancel,
     /// The attempt's deadline slice expired with no design.
     Timeout,
@@ -606,14 +607,7 @@ fn run_rung(
             chaos.maybe_panic(fault, backend);
             synthesize_isolated(backend, problem, &attempt_options)
         }))
-        .unwrap_or_else(|payload| {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            Err(SynthesisError::Panicked(msg))
-        });
+        .unwrap_or_else(|payload| Err(SynthesisError::Panicked(panic_message(payload.as_ref()))));
         let elapsed = a0.elapsed();
 
         let (outcome, next) = classify(backend, result, problem, &token, root);

@@ -14,7 +14,7 @@ use std::sync::Once;
 use std::time::{Duration, Instant};
 
 use troy_dfg::benchmarks;
-use troy_portfolio::{cache_key, race, synthesize_isolated, ResultCache};
+use troy_portfolio::{cache_key, synthesize_isolated, Backend, PortfolioResult, ResultCache};
 use troy_resilience::{
     supervise, AttemptOutcome, Chaos, Supervised, SupervisorConfig, SupervisorError,
     CHAOS_PANIC_MARKER, GRACE_BUDGET, LADDER,
@@ -281,7 +281,9 @@ fn corrupted_cache_is_quarantined_never_served() {
     let _ = std::fs::remove_dir_all(&dir);
     let problem = fig5();
     let options = SolveOptions::quick();
-    let solved = race(&problem, &options, 1).expect("figure 5 is feasible");
+    let solved = synthesize_isolated(Backend::Exact, &problem, &options)
+        .map(|s| PortfolioResult::fresh(Backend::Exact, s, Duration::ZERO))
+        .expect("figure 5 is feasible");
 
     // Populate several distinct keys so each corruption mode gets a shot.
     let cache = ResultCache::on_disk(&dir).expect("create cache dir");
