@@ -138,35 +138,6 @@ impl fmt::Display for SecurityCertificate {
     }
 }
 
-/// Incremental FNV-1a 64-bit digest used to bind certificates to the
-/// exact implementation they cover.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub(crate) fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    pub(crate) fn write_usize(&mut self, v: usize) {
-        self.write(&(v as u64).to_le_bytes());
-    }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,14 +178,22 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable_and_input_sensitive() {
-        let mut a = Fnv::new();
-        a.write(b"troy");
-        let mut b = Fnv::new();
-        b.write(b"troy");
-        assert_eq!(a.finish(), b.finish());
-        let mut c = Fnv::new();
-        c.write(b"trojan");
-        assert_ne!(a.finish(), c.finish());
+    fn figure5_digest_matches_its_golden_value() {
+        // Recorded before the digest moved to `troy_dfg::Fnv1a`: the
+        // certificates served for the same binding keep their checksum.
+        use troyhls::{Catalog, ExactSolver, SolveOptions, SynthesisProblem, Synthesizer};
+        let problem = SynthesisProblem::builder(troy_dfg::benchmarks::polynom(), Catalog::table1())
+            .mode(Mode::DetectionRecovery)
+            .detection_latency(4)
+            .recovery_latency(3)
+            .area_limit(22_000)
+            .build()
+            .expect("well-formed");
+        let design = ExactSolver::new()
+            .synthesize(&problem, &SolveOptions::quick())
+            .expect("figure 5 is feasible");
+        assert_eq!(design.cost, 4160);
+        let cert = crate::certify(&problem, &design.implementation).expect("certifiable");
+        assert_eq!(cert.checksum, 0x9d59_d4f4_1e52_e5e1);
     }
 }

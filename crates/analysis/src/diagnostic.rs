@@ -116,8 +116,8 @@ pub enum Code {
     RegisterPressure,
     /// TR001: the reported design came from a fallback back end (or the
     /// grace pass), not the primary rung of the degradation ladder — the
-    /// exact solver. A fallback to the ILP, the second prover, is
-    /// reported but does not make the answer degraded.
+    /// exact solver, its one prover. Every fallback is therefore a
+    /// heuristic's design, and the answer is degraded.
     DegradedBackend,
     /// TR002: the design satisfies a latency-relaxed variant of the
     /// problem, not the constraints as originally stated.

@@ -35,13 +35,13 @@
 
 use std::collections::BTreeSet;
 
-use troy_dfg::NodeId;
+use troy_dfg::{Fnv1a, NodeId};
 use troyhls::{
     cone_vendors, diversity_constraints, output_cones, validate, Implementation, Mode, OpCopy,
     OutputCone, Role, SynthesisProblem, VendorId,
 };
 
-use crate::certificate::{Fnv, SecurityCertificate};
+use crate::certificate::SecurityCertificate;
 use crate::diagnostic::{Code, Diagnostic, FixIt, Location, Severity};
 use crate::passes::{legal_vendors, LintContext, LintPass};
 
@@ -270,17 +270,17 @@ pub fn certify(
     let cones = output_cones(dfg);
     let count = |code: Code| findings.iter().filter(|d| d.code == code).count();
 
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     h.write(dfg.name().as_bytes());
     h.write(problem.mode().to_string().as_bytes());
     for (copy, a) in imp.iter() {
-        h.write_usize(copy.op.index());
-        h.write_usize(copy.role.index());
-        h.write_usize(a.cycle);
-        h.write_usize(a.vendor.index());
+        h.write_u64(copy.op.index() as u64);
+        h.write_u64(copy.role.index() as u64);
+        h.write_u64(a.cycle as u64);
+        h.write_u64(a.vendor.index() as u64);
     }
-    h.write_usize(cones.len());
-    h.write_usize(diversity_constraints(problem).len());
+    h.write_u64(cones.len() as u64);
+    h.write_u64(diversity_constraints(problem).len() as u64);
 
     Ok(SecurityCertificate {
         design: dfg.name().to_string(),

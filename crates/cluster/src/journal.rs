@@ -22,7 +22,8 @@
 //! TJ1 <fnv64-hex> {"seq":12,"kind":"completed"}
 //! ```
 //!
-//! The checksum (FNV-1a over the payload bytes) makes a torn write —
+//! The checksum (FNV-1a over the payload bytes: cheap, and plenty to
+//! tell a torn frame from a whole one) makes a torn write —
 //! a crash, full disk, or the chaos injector's `JournalTorn` fault
 //! cutting a frame short — detectable: replay drops any line whose
 //! checksum fails and any unterminated tail, losing at most the torn
@@ -44,6 +45,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
+use troy_dfg::Fnv1a;
 use troy_resilience::{Chaos, SelfHealFault};
 use troy_service::{escape, Json};
 
@@ -52,18 +54,6 @@ pub const JOURNAL_FILE: &str = "dispatch.wal";
 
 /// Completions tolerated before the next append compacts the file.
 const COMPACT_AFTER_COMPLETIONS: u64 = 64;
-
-/// FNV-1a over the payload bytes — cheap, dependency-free, and plenty
-/// to tell a torn frame from a whole one (this is corruption detection,
-/// not authentication).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// An accepted request recovered from the journal at open: it has no
 /// recorded terminal outcome and must be re-dispatched.
@@ -214,7 +204,7 @@ impl Journal {
     /// Appends one framed payload, honoring a scheduled `JournalTorn`
     /// fault by writing only a prefix (simulating a crash mid-write).
     fn append(&self, inner: &mut JournalFile, seq: u64, payload: &str) {
-        let frame = format!("TJ1 {:016x} {payload}\n", fnv64(payload.as_bytes()));
+        let frame = format!("TJ1 {:016x} {payload}\n", Fnv1a::hash(payload.as_bytes()));
         let torn = self.chaos.fault_for_journal_append(seq) == Some(SelfHealFault::JournalTorn);
         if inner.needs_newline {
             let _ = inner.file.write_all(b"\n");
@@ -260,7 +250,7 @@ fn write_compacted(
                 "{{\"seq\":{seq},\"kind\":\"accepted\",\"frame\":{}}}",
                 escape(frame)
             );
-            let line = format!("TJ1 {:016x} {payload}\n", fnv64(payload.as_bytes()));
+            let line = format!("TJ1 {:016x} {payload}\n", Fnv1a::hash(payload.as_bytes()));
             out.write_all(line.as_bytes())?;
         }
         out.sync_data()?;
@@ -284,7 +274,7 @@ fn parse_frame(line: &str) -> Option<(u64, FrameKind, Option<String>)> {
     let (sum_hex, payload) = rest.split_at_checked(16)?;
     let payload = payload.strip_prefix(' ')?;
     let sum = u64::from_str_radix(sum_hex, 16).ok()?;
-    if fnv64(payload.as_bytes()) != sum {
+    if Fnv1a::hash(payload.as_bytes()) != sum {
         return None;
     }
     let json = Json::parse(payload)?;
@@ -311,6 +301,21 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn frame_checksums_match_their_golden_values() {
+        // Recorded before the checksum moved to `Fnv1a`: journals written
+        // by earlier routers still replay.
+        let dir = tmp_dir("golden");
+        let (journal, _) = Journal::open(&dir, Chaos::disabled()).unwrap();
+        let seq = journal.accepted(r#"{"id":"g1","cmd":"synth","benchmark":"polynom"}"#);
+        journal.completed(seq);
+        let text = std::fs::read_to_string(journal.path()).unwrap();
+        let accepted = r#"TJ1 9369f5069071949c {"seq":0,"kind":"accepted","frame":"{\"id\":\"g1\",\"cmd\":\"synth\",\"benchmark\":\"polynom\"}"}"#;
+        let completed = r#"TJ1 b9f5a1c9e5b52983 {"seq":0,"kind":"completed"}"#;
+        assert_eq!(text, format!("{accepted}\n{completed}\n"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use troy_dfg::IpTypeId;
 /// assert_eq!(v.to_string(), "Ven3"); // display is 1-based like the paper
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VendorId(u8);
 
 impl VendorId {
@@ -48,7 +47,6 @@ impl fmt::Display for VendorId {
 /// One `(vendor, type)` catalog entry: silicon area per instance and the
 /// one-off license cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IpOffering {
     /// Area of one instance, in unit cells (the paper's `π(k, t)`).
     pub area: u64,
@@ -58,7 +56,6 @@ pub struct IpOffering {
 
 /// A license: the right to instantiate `(vendor, ip_type)` cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct License {
     /// Selling vendor.
     pub vendor: VendorId,
@@ -89,7 +86,6 @@ impl fmt::Display for License {
 /// assert_eq!(adder.area, 532);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Catalog {
     /// Offerings keyed by `(vendor index, type index)`.
     offerings: BTreeMap<(u8, u8), IpOffering>,

@@ -465,8 +465,6 @@ impl Synthesizer for IlpSolver {
             mip_start,
             branch_priority: ilp.branch_priorities(),
             cancel: options.cancel.clone(),
-            lp_engine: options.lp_engine,
-            warm_start: options.warm_start,
             ..SolveParams::default()
         };
         let result = ilp.model.solve(&params);

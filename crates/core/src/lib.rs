@@ -79,5 +79,5 @@ pub use rules::{
     diversity_constraints, min_vendors_per_type, DiversityConstraint, OpCopy, Role, RuleKind,
 };
 pub use solver::{SolveOptions, Synthesis, SynthesisError, Synthesizer};
-pub use troy_ilp::{Cancellation, LpEngine};
+pub use troy_ilp::Cancellation;
 pub use validate::{is_valid, validate, Violation};

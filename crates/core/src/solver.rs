@@ -4,7 +4,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use troy_ilp::{Cancellation, LpEngine};
+use troy_ilp::Cancellation;
 
 use crate::implementation::Implementation;
 use crate::problem::SynthesisProblem;
@@ -23,13 +23,6 @@ pub struct SolveOptions {
     /// inner loops (alongside `time_limit`) and wind down gracefully when
     /// it expires — the hook the supervisor and batch deadlines use.
     pub cancel: Cancellation,
-    /// Simplex engine for the ILP back end's LP relaxations (ignored by
-    /// the non-ILP back ends). The dense baseline exists for cross-checks
-    /// and benchmarking; production solves use the sparse engine.
-    pub lp_engine: LpEngine,
-    /// Whether the ILP back end warm-starts child LPs from the parent
-    /// basis (ignored by the non-ILP back ends).
-    pub warm_start: bool,
 }
 
 impl Default for SolveOptions {
@@ -38,8 +31,6 @@ impl Default for SolveOptions {
             time_limit: Duration::from_secs(60),
             node_limit: 400_000,
             cancel: Cancellation::new(),
-            lp_engine: LpEngine::Sparse,
-            warm_start: true,
         }
     }
 }

@@ -30,7 +30,6 @@ use crate::op::OpKind;
 /// # Ok::<(), troy_dfg::GraphError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -58,7 +57,6 @@ impl fmt::Display for NodeId {
 /// One operation node: its kind, an optional label and its primary-input
 /// arity (number of operands fed from outside the DFG rather than by edges).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpNode {
     kind: OpKind,
     label: Option<String>,
@@ -141,7 +139,6 @@ impl std::error::Error for GraphError {}
 /// # Ok::<(), troy_dfg::GraphError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dfg {
     name: String,
     nodes: Vec<OpNode>,

@@ -11,6 +11,7 @@
 //! - a plain-text format ([`parse_dfg`] / [`write_dfg`]) and Graphviz export
 //!   ([`to_dot`]);
 //! - seeded random generators ([`random_dfg`]) for stress testing;
+//! - [`Fnv1a`], the content hash every crate above this one shares;
 //! - the paper's six evaluation benchmarks plus extras ([`benchmarks`]).
 //!
 //! # Quickstart
@@ -34,6 +35,7 @@
 mod analysis;
 pub mod benchmarks;
 mod dot;
+mod fnv;
 mod generate;
 mod graph;
 mod op;
@@ -41,6 +43,7 @@ mod parse;
 
 pub use analysis::{min_concurrency, ScheduleWindows};
 pub use dot::{to_dot, to_dot_with};
+pub use fnv::Fnv1a;
 pub use generate::{random_dfg, RandomDfgConfig};
 pub use graph::{Dfg, GraphError, NodeId, OpNode};
 pub use op::{IpTypeId, OpKind, ParseOpKindError};

@@ -24,7 +24,6 @@ use std::str::FromStr;
 /// assert_eq!(OpKind::Less.ip_type(), IpTypeId::OTHER);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum OpKind {
     /// Two's-complement addition.
@@ -62,7 +61,6 @@ pub enum OpKind {
 /// assert_eq!(IpTypeId::new(1), t);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IpTypeId(u8);
 
 impl IpTypeId {

@@ -55,8 +55,8 @@ impl Backend {
     }
 
     /// Fixed rank of the back end (its index in [`Backend::ALL`]): provers
-    /// before heuristics. Per-back-end tables (breakers, chaos sites,
-    /// ladder rungs) index by it.
+    /// before heuristics. Per-back-end tables (breakers, chaos sites)
+    /// index by it.
     #[must_use]
     pub fn priority(self) -> usize {
         match self {

@@ -20,6 +20,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
 
+use troy_dfg::Fnv1a;
 use troyhls::{
     Assignment, Implementation, Mode, Role, SolveOptions, Synthesis, SynthesisProblem, VendorId,
 };
@@ -54,37 +55,29 @@ impl fmt::Display for CacheKey {
 /// Two independent FNV-1a streams over the same bytes; 64-bit FNV alone
 /// is too collision-prone to address results by content.
 struct Fingerprint {
-    a: u64,
-    b: u64,
+    a: Fnv1a,
+    b: Fnv1a,
 }
 
 impl Fingerprint {
     fn new() -> Self {
-        // Standard FNV-1a offset basis, and the same basis advanced over
-        // a domain-separation tag for the second stream.
-        let mut f = Fingerprint {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0xcbf2_9ce4_8422_2325,
-        };
-        for byte in b"troy-portfolio-cache-v1" {
-            f.b = (f.b ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        f
+        // The second stream starts advanced over a domain-separation tag.
+        let mut b = Fnv1a::new();
+        b.write(b"troy-portfolio-cache-v1");
+        Fingerprint { a: Fnv1a::new(), b }
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for byte in bytes {
-            self.a = (self.a ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3);
-            self.b = (self.b ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.a.write(bytes);
+        self.b.write(bytes);
         // Length-prefix free framing: a field separator byte prevents
         // adjacent variable-length fields from aliasing.
         self.write_raw(0xfe);
     }
 
     fn write_raw(&mut self, byte: u8) {
-        self.a = (self.a ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        self.b = (self.b ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        self.a.write(&[byte]);
+        self.b.write(&[byte]);
     }
 
     fn write_u64(&mut self, v: u64) {
@@ -92,7 +85,7 @@ impl Fingerprint {
     }
 
     fn finish(self) -> CacheKey {
-        CacheKey(self.a, self.b)
+        CacheKey(self.a.finish(), self.b.finish())
     }
 }
 
@@ -481,7 +474,8 @@ fn write_atomic(dir: &std::path::Path, name: &str, bytes: &[u8]) -> io::Result<(
 
 /// A deliberately tiny JSON subset parser (numbers, strings, bools,
 /// arrays, objects) — exactly what [`CachedEntry::to_json`] emits. The
-/// vendored `serde` is an API stub, so the cache carries its own codec.
+/// workspace has no serialization dependency, so the cache carries its
+/// own codec.
 mod json {
     pub(super) enum Value {
         Num(u64),

@@ -15,7 +15,7 @@
 //!   re-run of an unchanged experiment grid costs milliseconds.
 //!
 //! Running several back ends on **one** problem — deadlines, retries,
-//! falling back from the provers to the heuristics — is the supervisor
+//! falling back from the exact solver to the heuristics — is the supervisor
 //! ladder of `troy-resilience`, the one place that does it.
 //!
 //! Determinism is a design constraint throughout: results come back in

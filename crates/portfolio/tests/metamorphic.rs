@@ -4,9 +4,9 @@
 //!
 //! - cost dominance: the exact optimum never exceeds the annealer's
 //!   cost, which never exceeds the greedy cost it was seeded from;
-//! - soundness: every design any back end emits passes the independent
-//!   validator, reports its own license cost and carries zero `TD`
-//!   (design-rule) diagnostics from `troy-analysis`;
+//! - soundness: every back end emits a design on every case, and it
+//!   passes the independent validator, reports its own license cost and
+//!   carries zero `TD` (design-rule) diagnostics from `troy-analysis`;
 //! - mode monotonicity: detection-only protection never costs more than
 //!   detection + recovery on the same DFG and catalog.
 
@@ -21,6 +21,21 @@ fn opts() -> SolveOptions {
         time_limit: Duration::from_secs(15),
         node_limit: 120_000,
         ..SolveOptions::default()
+    }
+}
+
+/// The ILP gets 1 s instead of 15: it proved 8 of the 24 soundness cases
+/// in 15 s and ran the budget out on the other 16, 263 s of the test's
+/// 265 s. Its greedy warm start is an incumbent from the first node, so
+/// a shorter budget still returns a design on every case — the test
+/// asserts that each back end does.
+fn opts_for(backend: Backend) -> SolveOptions {
+    match backend {
+        Backend::Ilp => SolveOptions {
+            time_limit: Duration::from_secs(1),
+            ..opts()
+        },
+        _ => opts(),
     }
 }
 
@@ -91,20 +106,21 @@ proptest! {
         recovery in any::<bool>(),
     ) {
         let p = build(mode_of(recovery), ops, depth, mul, seed, slack);
-        let o = opts();
         for backend in Backend::ALL {
-            if let Ok(s) = backend.solver().synthesize(&p, &o) {
-                let violations = validate(&p, &s.implementation);
-                prop_assert!(violations.is_empty(), "{backend}: {violations:?}");
-                prop_assert_eq!(s.implementation.license_cost(&p), s.cost, "{}", backend);
-                let report = troy_analysis::lint(&p, Some(&s.implementation));
-                let td: Vec<_> = report
-                    .diagnostics
-                    .iter()
-                    .filter(|d| d.code.as_str().starts_with("TD"))
-                    .collect();
-                prop_assert!(td.is_empty(), "{backend}: {td:?}");
-            }
+            let s = backend
+                .solver()
+                .synthesize(&p, &opts_for(backend))
+                .map_err(|e| TestCaseError::fail(format!("{backend}: no design: {e}")))?;
+            let violations = validate(&p, &s.implementation);
+            prop_assert!(violations.is_empty(), "{backend}: {violations:?}");
+            prop_assert_eq!(s.implementation.license_cost(&p), s.cost, "{}", backend);
+            let report = troy_analysis::lint(&p, Some(&s.implementation));
+            let td: Vec<_> = report
+                .diagnostics
+                .iter()
+                .filter(|d| d.code.as_str().starts_with("TD"))
+                .collect();
+            prop_assert!(td.is_empty(), "{backend}: {td:?}");
         }
     }
 

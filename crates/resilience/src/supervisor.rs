@@ -6,17 +6,20 @@
 //! retried with jittered exponential backoff, a panicking back end is
 //! caught and demoted instead of aborting the run, and when a rung fails
 //! outright the supervisor descends a fixed **degradation ladder** —
-//! exact → ILP → annealing → greedy, then constraint relaxation (latency
-//! +1 per step up to a cap) — so the caller always receives the best
+//! exact → annealing → greedy, then constraint relaxation (latency +1
+//! per step up to a cap) — so the caller always receives the best
 //! implementation the machine could produce, annotated with a structured
 //! [`Degradation`] report saying exactly which rungs ran and why.
 //!
-//! The rungs are ordered by the measured cost of reaching a proof: the
-//! exact license-lattice solver proves the paper's Fig. 5 in about 10 ms,
-//! the ILP needs over a minute for the same proof. An answer is
-//! *degraded* by what it is, not by which rung produced it: a relaxed
-//! answer, a grace-pass answer, or one only a heuristic rung found (see
-//! [`Supervised::degraded`]).
+//! The exact license-lattice solver is the ladder's one prover: it proves
+//! every one of the paper's 25 problems in under a millisecond. The ILP,
+//! the paper's own formulation, is not a rung. Where the exact solver
+//! cannot decide a problem in its slice, the ILP's answers were never
+//! proven either, cost up to 25% above the optimum and overran their
+//! slice; it stays available as a single back end (`Backend::Ilp`). An
+//! answer is *degraded* by what it is, not by which rung produced it: a
+//! relaxed answer, a grace-pass answer, or one only a heuristic rung
+//! found (see [`Supervised::degraded`]).
 //!
 //! The invariant the chaos suite pins down: for *any* injected fault
 //! schedule, [`supervise`] terminates within its deadline bound (plus the
@@ -34,15 +37,10 @@ use troyhls::{SolveOptions, Synthesis, SynthesisError, SynthesisProblem};
 use crate::backoff::Backoff;
 use crate::chaos::Chaos;
 
-/// The degradation ladder, best rung first: provers before heuristics,
-/// ordered by the cost of reaching a proof — the exact solver as the
-/// primary, the ILP (the paper's own engine) as the second prover.
-pub const LADDER: [Backend; 4] = [
-    Backend::Exact,
-    Backend::Ilp,
-    Backend::Annealing,
-    Backend::Greedy,
-];
+/// The degradation ladder, best rung first: the exact solver, the one
+/// prover, then the heuristics, annealing before the greedy construction
+/// it starts from.
+pub const LADDER: [Backend; 3] = [Backend::Exact, Backend::Annealing, Backend::Greedy];
 
 /// Budget of the final grace pass (fresh token, greedy): the bounded
 /// slack past the deadline a supervised run may spend to keep the
@@ -268,9 +266,9 @@ impl Supervised {
     /// and the daemon's `degraded` status. That is decided by what the
     /// answer is: it meets latency-relaxed constraints, it came from the
     /// grace pass, or it was won by a rung that cannot prove optimality
-    /// (annealing, greedy). A prover's answer on the original constraints
-    /// is not degraded, whichever prover ran and whether it finished its
-    /// proof; [`Synthesis::proven_optimal`] says the latter.
+    /// (annealing, greedy). The exact rung's answer on the original
+    /// constraints is not degraded, whether or not it finished its proof;
+    /// [`Synthesis::proven_optimal`] says the latter.
     #[must_use]
     pub fn degraded(&self) -> bool {
         self.relaxation > 0 || self.degradation.grace || !self.backend.can_prove()
@@ -384,8 +382,8 @@ enum RungVerdict {
 ///
 /// Per relaxation step (0, then +1 latency up to the cap while
 /// degradation is allowed), each non-demoted ladder rung gets a slice of
-/// the remaining deadline (an even share over the rungs of its kind still
-/// ahead: the provers split it, see `runnable_rungs`), enforced as a
+/// the remaining deadline (half of it while a later rung may still run,
+/// all of it otherwise; see `runnable_rungs`), enforced as a
 /// [`Cancellation::child_with_deadline`]
 /// token chained under `config.options.cancel`; within a rung, transient
 /// faults retry up to `config.max_retries` times with jittered
@@ -438,7 +436,7 @@ pub fn supervise(
             }
             let rungs_left = runnable_rungs(&LADDER[rung_no..], &demoted, config.degrade);
             let verdict = run_rung(
-                backend,
+                rung_no,
                 step,
                 rungs_left,
                 &variant,
@@ -498,7 +496,6 @@ pub fn supervise(
             time_limit: GRACE_BUDGET,
             node_limit: config.options.node_limit.min(GRACE_NODES),
             cancel: Cancellation::with_deadline(GRACE_BUDGET),
-            ..config.options.clone()
         };
         if let Ok(s) = synthesize_isolated(Backend::Greedy, problem, &grace) {
             if is_sound(problem, &s) {
@@ -528,36 +525,27 @@ pub fn supervise(
     Err(SupervisorError { kind, degradation })
 }
 
-/// How many rungs of `ahead` (the current rung first) share its part of
-/// the deadline: the rungs of the same kind (prover or heuristic) that
-/// are not demoted, or just the current one when descent is off —
-/// `--no-degrade` never runs a second rung, so it must not budget one.
+/// How many rungs share the part of the deadline left to the first rung
+/// of `ahead`: that rung and, while descent is on and a later rung is not
+/// demoted, the next runnable one. `--no-degrade` never runs a second
+/// rung, so it must not budget one.
 ///
-/// The provers split the deadline between them, so the ILP, the last
-/// prover, keeps whatever the exact solver leaves. Nothing is held back
-/// for the heuristic rungs: when the ILP runs out of time it still
-/// answers with at least its greedy warm start, so they matter only
-/// after a prover fails outright (a panic, an invalid design, a typed
-/// error), which leaves them the time it did not use.
+/// Each rung thus keeps half of what is left while a rung can follow it,
+/// and the last runnable rung takes the rest. On a fresh 1 s request the
+/// exact solver gets 500 ms, annealing half of what it leaves, greedy
+/// the remainder; with both heuristics demoted the exact solver gets the
+/// whole deadline.
 fn runnable_rungs(ahead: &[Backend], demoted: &[Backend], degrade: bool) -> usize {
-    if degrade {
-        let proves = ahead[0].can_prove();
-        ahead
-            .iter()
-            .filter(|b| b.can_prove() == proves && !demoted.contains(b))
-            .count()
-    } else {
-        1
-    }
+    let followed = degrade && ahead[1..].iter().any(|b| !demoted.contains(b));
+    1 + usize::from(followed)
 }
 
 /// One attempt's deadline slice: an even share of the `remaining`
 /// deadline over the `rungs_left` rungs that share it (this one
 /// included, see [`runnable_rungs`]), floored at [`MIN_SLICE`] so a
-/// slice is never uselessly small. With the provers first, the exact
-/// solver gets half of a fresh deadline, so its node-limited searches
-/// on the hardest paper rows finish inside a 1 s request's slice with
-/// room to spare instead of racing a quarter of it.
+/// slice is never uselessly small. Half of a fresh deadline lets the
+/// exact solver's node-limited searches on the hardest paper rows finish
+/// inside a 1 s request's slice with room to spare.
 fn attempt_slice(remaining: Duration, rungs_left: usize) -> Duration {
     (remaining / rungs_left.max(1) as u32).max(MIN_SLICE)
 }
@@ -565,7 +553,7 @@ fn attempt_slice(remaining: Duration, rungs_left: usize) -> Duration {
 /// Runs one rung (all its attempts) and records it into `degradation`.
 #[allow(clippy::too_many_arguments)]
 fn run_rung(
-    backend: Backend,
+    rung_no: usize,
     relaxation: usize,
     rungs_left: usize,
     problem: &SynthesisProblem,
@@ -575,13 +563,16 @@ fn run_rung(
     t0: Instant,
     degradation: &mut Degradation,
 ) -> RungVerdict {
+    let backend = LADDER[rung_no];
     let mut report = RungReport {
         backend,
         relaxation,
         skipped: false,
         attempts: Vec::new(),
     };
-    let rung_index = relaxation * LADDER.len() + backend.priority();
+    // Chaos sites are keyed by `Backend::priority`; the backoff jitter by
+    // the rung's position, so it is unique per (relaxation, rung).
+    let rung_index = relaxation * LADDER.len() + rung_no;
     let mut verdict = RungVerdict::Descend;
 
     for attempt in 0..=config.max_retries {
@@ -596,7 +587,6 @@ fn run_rung(
             time_limit: slice,
             node_limit: config.options.node_limit,
             cancel: token.clone(),
-            ..config.options.clone()
         };
 
         let fault = chaos.fault_for_attempt(backend, relaxation, attempt);
@@ -734,16 +724,17 @@ mod tests {
     #[test]
     fn disabled_primary_rung_is_skipped_and_the_fallback_is_reported() {
         // A circuit breaker opening on the primary rung pre-disables it;
-        // the run must fall through to the next prover, report the skip
-        // and the fallback, and still count as an undegraded answer — a
-        // prover's design on the original constraints is what was asked.
+        // the run must fall through to the next rung, report the skip and
+        // the fallback, and count as degraded: with the one prover out,
+        // only a heuristic can answer.
         let config = SupervisorConfig {
             disabled: vec![LADDER[0]],
             ..SupervisorConfig::default()
         };
         let sup = supervise(&tiny_problem(), &config, &Chaos::disabled()).expect("feasible");
         assert_eq!(sup.backend, LADDER[1]);
-        assert!(!sup.degraded(), "{}", sup.degradation.summary());
+        assert!(!sup.backend.can_prove());
+        assert!(sup.degraded(), "{}", sup.degradation.summary());
         let why = sup
             .fallback()
             .expect("bypassing the primary rung is a fallback");
@@ -760,42 +751,52 @@ mod tests {
             .expect("primary rung reported");
         assert!(primary.skipped);
         assert!(primary.attempts.is_empty());
+    }
 
-        // With both provers out, only a heuristic can answer: degraded.
-        let config = SupervisorConfig {
-            disabled: vec![Backend::Exact, Backend::Ilp],
-            ..SupervisorConfig::default()
-        };
-        let sup = supervise(&tiny_problem(), &config, &Chaos::disabled()).expect("feasible");
-        assert!(!sup.backend.can_prove());
-        assert!(sup.degraded(), "a heuristic-only answer is degradation");
-        assert!(sup.fallback().is_some());
-        assert!(is_sound(&sup.problem, &sup.synthesis));
+    #[test]
+    fn the_exact_solver_is_the_only_prover_in_the_ladder() {
+        assert_eq!(
+            LADDER,
+            [Backend::Exact, Backend::Annealing, Backend::Greedy]
+        );
+        assert_eq!(LADDER.iter().filter(|b| b.can_prove()).count(), 1);
     }
 
     #[test]
     fn slices_share_the_deadline_over_rungs_that_may_still_run() {
         let second = Duration::from_secs(1);
-        // Descent on: the provers share the deadline, and so do the
-        // heuristics that run after a prover failed outright.
+        let heuristics = [Backend::Annealing, Backend::Greedy];
+        // Descent on: each rung keeps half of what is left while a rung
+        // can follow it, and the last one takes the rest.
         assert_eq!(runnable_rungs(&LADDER, &[], true), 2);
-        assert_eq!(runnable_rungs(&LADDER[1..], &[], true), 1);
-        assert_eq!(runnable_rungs(&LADDER[2..], &[], true), 2);
-        assert_eq!(runnable_rungs(&LADDER[3..], &[], true), 1);
-        // A demoted prover leaves the other one the whole deadline.
-        assert_eq!(runnable_rungs(&LADDER, &[LADDER[1]], true), 1);
-        assert_eq!(runnable_rungs(&LADDER[2..], &[LADDER[3]], true), 1);
-        // A 1 s deadline: the exact solver gets 500 ms, the ILP the rest.
+        assert_eq!(runnable_rungs(&LADDER[1..], &[], true), 2);
+        assert_eq!(runnable_rungs(&LADDER[2..], &[], true), 1);
+        // A 1 s deadline: exact 500 ms, annealing 250 ms, greedy 250 ms.
         let exact = attempt_slice(second, runnable_rungs(&LADDER, &[], true));
         assert_eq!(exact, Duration::from_millis(500));
         let left = second.saturating_sub(exact);
-        let ilp = attempt_slice(left, runnable_rungs(&LADDER[1..], &[], true));
-        assert_eq!(ilp, Duration::from_millis(500));
-        // Descent off: only the current rung can ever run, so it gets
-        // the whole deadline, not a share of it.
+        let annealing = attempt_slice(left, runnable_rungs(&LADDER[1..], &[], true));
+        assert_eq!(annealing, Duration::from_millis(250));
+        let left = left.saturating_sub(annealing);
+        let greedy = attempt_slice(left, runnable_rungs(&LADDER[2..], &[], true));
+        assert_eq!(greedy, Duration::from_millis(250));
+        // One heuristic demoted: the exact solver still keeps half, and
+        // annealing, with greedy demoted, takes all it leaves.
+        for demoted in heuristics {
+            assert_eq!(runnable_rungs(&LADDER, &[demoted], true), 2);
+        }
+        assert_eq!(runnable_rungs(&LADDER[1..], &[Backend::Greedy], true), 1);
+        // Both heuristics demoted: the exact solver gets the whole deadline.
+        let alone = runnable_rungs(&LADDER, &heuristics, true);
+        assert_eq!(attempt_slice(second, alone), second);
+        // Descent off (`--no-degrade`): only the current rung can ever
+        // run, so it gets the whole deadline, not a share of it.
         assert_eq!(runnable_rungs(&LADDER, &[], false), 1);
         assert_eq!(runnable_rungs(&LADDER[1..], &[LADDER[0]], false), 1);
-        assert_eq!(attempt_slice(second, 1), second);
+        assert_eq!(
+            attempt_slice(second, runnable_rungs(&LADDER, &[], false)),
+            second
+        );
         // The floor: a slice is never uselessly small, nor a division by 0.
         assert_eq!(attempt_slice(Duration::from_millis(12), 4), MIN_SLICE);
         assert_eq!(attempt_slice(Duration::ZERO, 0), MIN_SLICE);

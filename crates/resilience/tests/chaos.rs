@@ -237,8 +237,8 @@ fn injected_panics_are_marked_and_demote_the_backend() {
 
 /// With chaos off, the supervised pipeline still reproduces the paper's
 /// Figure 5 oracle — and every rung of the ladder can carry the problem
-/// on its own: the provers to the proven $4160 optimum, the heuristics
-/// to a validator-clean design no cheaper than it.
+/// on its own: the exact solver to the proven $4160 optimum, the
+/// heuristics to a validator-clean design no cheaper than it.
 #[test]
 fn chaos_off_reproduces_fig5_through_the_full_ladder() {
     let problem = fig5();

@@ -1,6 +1,6 @@
 //! A minimal JSON reader/writer for the wire protocol.
 //!
-//! The workspace's `serde` is an offline API stub, so the protocol layer
+//! The workspace has no serialization dependency, so the protocol layer
 //! parses and renders its own JSON — deliberately a subset: objects,
 //! arrays, strings (with `\" \\ \/ \n \t \r` escapes), unsigned
 //! integers, booleans and `null`. That subset is closed under what the

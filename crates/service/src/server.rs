@@ -11,8 +11,8 @@
 //! - **Circuit breakers** — a per-backend closed → open → half-open
 //!   panel ([`crate::breaker`]) layered over the `troy-resilience`
 //!   supervisor via [`SupervisorConfig::disabled`], so a flapping rung
-//!   is skipped before it burns its retry budget; with every breaker
-//!   open the request is rejected `circuit_open` up front.
+//!   is skipped before it burns its retry budget; with every ladder
+//!   rung's breaker open the request is rejected `circuit_open` up front.
 //! - **Deadlines** — each request's budget flows through
 //!   [`Cancellation`] children of a server root token, so a drain can
 //!   cancel all in-flight work at once.
@@ -39,9 +39,9 @@ use std::time::{Duration, Instant};
 
 use troy_dfg::{benchmarks, parse_dfg};
 use troy_ilp::Cancellation;
-use troy_portfolio::{cache_key, Backend, CacheKey, CachedEntry, PortfolioResult, ResultCache};
+use troy_portfolio::{cache_key, CacheKey, CachedEntry, PortfolioResult, ResultCache};
 use troy_resilience::{
-    supervise, AttemptOutcome, Chaos, Degradation, SupervisorConfig, SupervisorErrorKind,
+    supervise, AttemptOutcome, Chaos, Degradation, SupervisorConfig, SupervisorErrorKind, LADDER,
 };
 use troyhls::{SolveOptions, SynthesisProblem};
 
@@ -463,16 +463,16 @@ fn handle_synth(request: &Request, shared: &Arc<Shared>) -> Response {
     };
     ServiceStats::bump(&shared.stats.accepted);
 
-    // Circuit breakers: skip open rungs; with the whole panel open the
+    // Circuit breakers: skip open rungs; with every ladder rung open the
     // request is shed before any solver runs.
     let now = Instant::now();
     let open = shared.breakers.open_at(now);
-    if open.len() == Backend::ALL.len() {
+    if LADDER.iter().all(|rung| open.contains(rung)) {
         ServiceStats::bump(&shared.stats.shed_circuit);
         let mut r = Response::reject(
             Some(&request.id),
             RejectKind::CircuitOpen,
-            "every solver back end's circuit breaker is open",
+            "every ladder rung's circuit breaker is open",
         );
         r.retry_after_ms = shared
             .breakers
@@ -536,13 +536,8 @@ fn handle_synth(request: &Request, shared: &Arc<Shared>) -> Response {
                 ServiceStats::bump(&shared.stats.completed_degraded);
             } else {
                 ServiceStats::bump(&shared.stats.completed_ok);
-                let result = PortfolioResult {
-                    synthesis: sup.synthesis.clone(),
-                    winner: sup.backend,
-                    timed_out: false,
-                    from_cache: false,
-                    elapsed: sup.elapsed,
-                };
+                let result =
+                    PortfolioResult::fresh(sup.backend, sup.synthesis.clone(), sup.elapsed);
                 shared.cache.store(&key, &result);
                 if request.want_entry {
                     // Only un-degraded results travel as entries — the
@@ -665,5 +660,41 @@ fn record_breaker_outcomes(shared: &Arc<Shared>, degradation: &Degradation) {
             }
             Some(AttemptOutcome::SpuriousCancel | AttemptOutcome::Infeasible) | None => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use troy_portfolio::Backend;
+
+    #[test]
+    fn synth_is_shed_as_circuit_open_once_every_ladder_rung_is_open() {
+        let service = Service::start(ServiceConfig {
+            breaker: BreakerConfig {
+                failure_threshold: 1,
+                cooldown: Duration::from_secs(300),
+            },
+            ..ServiceConfig::default()
+        })
+        .expect("bind");
+        // The ladder's rungs, spelled out: the ILP is not one, so its
+        // breaker never opens and must not be needed for the shed.
+        let now = Instant::now();
+        for rung in [Backend::Exact, Backend::Annealing, Backend::Greedy] {
+            service.shared.breakers.record_failure(rung, now);
+        }
+        let request = parse_request(r#"{"id":"shed","cmd":"synth","benchmark":"polynom"}"#)
+            .expect("well-formed request");
+        let r = handle_synth(&request, &service.shared);
+        assert_eq!(r.kind, Some(RejectKind::CircuitOpen), "{r:?}");
+        assert_eq!(r.codes, vec!["TS002".to_owned()]);
+        assert!(r.retry_after_ms.is_some_and(|ms| ms > 0), "{r:?}");
+        assert!(r.cost.is_none() && r.certificate.is_none(), "{r:?}");
+
+        service.handle().shutdown();
+        let snap = service.join();
+        assert_eq!(snap.shed_circuit, 1);
+        assert_eq!(snap.completed_ok + snap.completed_degraded, 0);
     }
 }

@@ -410,9 +410,10 @@ fn overload_sheds_surplus_requests_with_typed_rejections() {
 
 /// Two deterministic timeouts of the primary (exact) rung on a problem it
 /// cannot decide trip its circuit breaker; the next request then skips
-/// the open rung up front and is answered by the ILP, the second prover.
-/// That answer is a fallback — `TS002` + `TR001` say so — but not a
-/// degraded one: status `ok`, cached, and certified.
+/// the open rung up front and is answered by annealing, the next rung.
+/// With the one prover skipped, that answer is degraded: `TS002` +
+/// `TR001` say why, `TS004` that it is uncertified, and it is not
+/// stored, so the same problem again is solved afresh, not a hit.
 #[test]
 fn breaker_opens_after_rung_failures_and_later_requests_fall_back() {
     let service = Service::start(ServiceConfig {
@@ -440,36 +441,80 @@ fn breaker_opens_after_rung_failures_and_later_requests_fall_back() {
     }
 
     // The exact breaker is now open: a healthy request is served by the
-    // ILP rung, with the diagnostics saying why.
-    let resp = roundtrip(addr, FIG5, Duration::from_secs(10)).expect("fallback response");
-    assert_eq!(status(&resp), "ok", "{resp:?}");
-    assert_eq!(resp.get("backend").and_then(Json::as_str), Some("ilp"));
-    assert_eq!(resp.get("cost").and_then(Json::as_u64), Some(4160));
-    assert_eq!(resp.get("relaxation").and_then(Json::as_u64), Some(0));
-    let got = codes(&resp);
-    assert!(got.contains(&"TS002".to_owned()), "{got:?}");
-    assert!(got.contains(&"TR001".to_owned()), "{got:?}");
-    // A prover's answer on the original constraints is certified like
-    // any other `ok`, and says nothing about being uncertified.
-    assert!(!got.contains(&"TS004".to_owned()), "{got:?}");
-    assert_certificate_discipline(&resp);
-
-    // It was stored: the same problem again is a cache hit.
-    let again = roundtrip(
-        addr,
-        &FIG5.replace("\"fig5\"", "\"fig5-again\""),
-        Duration::from_secs(10),
-    )
-    .expect("cached response");
-    assert_eq!(status(&again), "ok", "{again:?}");
-    assert_eq!(again.get("cached"), Some(&Json::Bool(true)));
-    assert_eq!(again.get("cost").and_then(Json::as_u64), Some(4160));
+    // annealing rung, degraded, with the diagnostics saying why — twice,
+    // because a degraded answer is never stored.
+    for id in ["fig5", "fig5-again"] {
+        let line = FIG5.replace("\"fig5\"", &format!("\"{id}\""));
+        let resp = roundtrip(addr, &line, Duration::from_secs(10)).expect("fallback response");
+        assert_eq!(status(&resp), "degraded", "{resp:?}");
+        assert_eq!(
+            resp.get("backend").and_then(Json::as_str),
+            Some("annealing")
+        );
+        assert_eq!(resp.get("proven"), Some(&Json::Bool(false)), "{resp:?}");
+        assert!(resp.get("cost").and_then(Json::as_u64) >= Some(4160));
+        assert_eq!(resp.get("relaxation").and_then(Json::as_u64), Some(0));
+        let got = codes(&resp);
+        for code in ["TS002", "TR001", "TS004"] {
+            assert!(got.contains(&code.to_owned()), "{id}: {got:?}");
+        }
+        assert!(resp.get("cached").is_none(), "{id}: {resp:?}");
+        assert_certificate_discipline(&resp);
+    }
 
     service.handle().shutdown();
     let snap = service.join();
     assert_eq!(snap.failed, 2);
+    assert_eq!(snap.completed_ok, 0);
+    assert_eq!(snap.completed_degraded, 2);
+    assert_eq!(snap.cache_hits, 0);
+    assert_eq!(snap.panics, 0);
+}
+
+/// An exact answer the solver could not prove optimal is not degraded:
+/// it is served `ok`, certified and stored. Its cache entry, shipped on
+/// request, says `timed_out` — the negation of `proven_optimal`, as for
+/// every stored result — and the repeat is a hit that still says
+/// unproven.
+#[test]
+fn unproven_exact_answers_are_stored_as_timed_out() {
+    let service = Service::start(ServiceConfig {
+        default_deadline: Duration::from_secs(10),
+        drain_deadline: Duration::from_secs(3),
+        ..ServiceConfig::default()
+    })
+    .expect("bind");
+    let addr = service.local_addr();
+
+    // polynom under detection+recovery at λ = 5 with a 20000 area cap:
+    // the exact solver runs out of nodes on a cheaper license subset,
+    // then finds a $3910 design on a dearer one, unproven.
+    let line = |id: &str| {
+        format!(
+            "{{\"id\":\"{id}\",\"cmd\":\"synth\",\"benchmark\":\"polynom\",\
+             \"mode\":\"recovery\",\"catalog\":\"paper8\",\"lambda_det\":5,\
+             \"lambda_rec\":5,\"area\":20000,\"deadline_ms\":20000,\"want_entry\":true}}"
+        )
+    };
+    let resp = roundtrip(addr, &line("first"), Duration::from_secs(30)).expect("response");
+    assert_eq!(status(&resp), "ok", "{resp:?}");
+    assert_eq!(resp.get("backend").and_then(Json::as_str), Some("exact"));
+    assert_eq!(resp.get("proven"), Some(&Json::Bool(false)), "{resp:?}");
+    assert_certificate_discipline(&resp);
+    let entry = resp.get("entry").expect("an `ok` answer ships its entry");
+    assert_eq!(entry.get("proven_optimal"), Some(&Json::Bool(false)));
+    assert_eq!(entry.get("timed_out"), Some(&Json::Bool(true)), "{entry:?}");
+
+    let again = roundtrip(addr, &line("again"), Duration::from_secs(30)).expect("response");
+    assert_eq!(status(&again), "ok", "{again:?}");
+    assert_eq!(again.get("cached"), Some(&Json::Bool(true)));
+    assert_eq!(again.get("proven"), Some(&Json::Bool(false)), "{again:?}");
+    assert_eq!(again.get("cost"), resp.get("cost"));
+
+    service.handle().shutdown();
+    let snap = service.join();
     assert_eq!(snap.completed_ok, 2);
-    assert_eq!(snap.completed_degraded, 0);
+    assert_eq!(snap.cache_hits, 1);
     assert_eq!(snap.panics, 0);
 }
 

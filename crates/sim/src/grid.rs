@@ -16,6 +16,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use troy_dfg::Fnv1a;
 use troyhls::{Implementation, Mode, Role, SolveOptions, SynthesisProblem, Synthesizer};
 
 use crate::corpus::{derive_seed, generate_corpus, plant, CorpusConfig, TrojanSpec};
@@ -481,6 +482,17 @@ fn cell_id(design: &DesignUnderTest, spec: &TrojanSpec, trace: usize) -> String 
     )
 }
 
+/// A cell's seed depends only on the master seed and the cell's identity
+/// — and deliberately *not* on the design's mode, so the same benchmark
+/// in Detection vs DetectionRecovery sees the same traces (a paired
+/// Fig. 3 contrast).
+fn cell_seed(master: u64, entry_seed: u64, trace: usize, design: &str) -> u64 {
+    derive_seed(
+        derive_seed(master, entry_seed),
+        derive_seed(trace as u64, Fnv1a::hash(design.as_bytes())),
+    )
+}
+
 fn run_cell(design: &DesignUnderTest, config: &GridConfig, plan: &CellPlan) -> CellOutcome {
     let t0 = Instant::now();
     let spec = plan.spec;
@@ -488,15 +500,8 @@ fn run_cell(design: &DesignUnderTest, config: &GridConfig, plan: &CellPlan) -> C
     let dfg = design.problem.dfg();
     let mode = design.problem.mode();
     let mut datapath = Datapath::new(&design.problem, &design.implementation, &planted.library);
-    // The cell seed depends only on the master seed and the cell's
-    // identity — and deliberately *not* on the design's mode, so the same
-    // benchmark in Detection vs DetectionRecovery sees the same traces
-    // (a paired Fig. 3 contrast).
-    let cell_seed = derive_seed(
-        derive_seed(config.seed, spec.entry_seed),
-        derive_seed(plan.trace as u64, fnv1a(design.name.as_bytes())),
-    );
-    let mut rng = StdRng::seed_from_u64(cell_seed);
+    let seed = cell_seed(config.seed, spec.entry_seed, plan.trace, &design.name);
+    let mut rng = StdRng::seed_from_u64(seed);
 
     let mut outcome = CellOutcome {
         id: cell_id(design, &spec, plan.trace),
@@ -570,17 +575,6 @@ fn run_cell(design: &DesignUnderTest, config: &GridConfig, plan: &CellPlan) -> C
     outcome
 }
 
-/// FNV-1a over bytes — a stable, dependency-free name hash for seed
-/// derivation.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Runs the full campaign grid over `jobs` pool workers.
 ///
 /// The report is identical for any `jobs` value: cells derive their
@@ -623,6 +617,13 @@ mod tests {
     use super::*;
     use crate::corpus::PayloadKind;
     use troyhls::{ExactSolver, GreedySolver};
+
+    #[test]
+    fn cell_seeds_match_their_golden_value() {
+        // Recorded before the campaign's name hash moved to `Fnv1a`:
+        // every campaign replays the traces it always did.
+        assert_eq!(cell_seed(2014, 7, 3, "polynom"), 0xd356_8cab_eeeb_69c9);
+    }
 
     fn designs(modes: &[Mode]) -> Vec<DesignUnderTest> {
         modes
