@@ -2067,8 +2067,22 @@ mod tests {
 
     #[test]
     fn serve_runs_the_daemon_until_a_shutdown_request_drains_it() {
+        ping_then_drain_a_daemon_bound_at("serve", "127.0.0.1:0");
+    }
+
+    /// A hostname goes through the resolver: glibc loads its NSS modules
+    /// at run time even in a statically linked binary, as this test
+    /// binary is on Linux/glibc.
+    #[test]
+    fn serve_binds_a_hostname_through_the_resolver() {
+        ping_then_drain_a_daemon_bound_at("serve-localhost", "localhost:0");
+    }
+
+    /// Runs `serve --addr bind`, pings it over the address it publishes,
+    /// then drains it with `shutdown` and checks the exit summary.
+    fn ping_then_drain_a_daemon_bound_at(scratch: &str, bind: &'static str) {
         use std::io::{BufRead as _, BufReader, Write as _};
-        let dir = scratch_dir("serve");
+        let dir = scratch_dir(scratch);
         std::fs::create_dir_all(&dir).unwrap();
         let addr_file = dir.join("addr");
         let addr_file_arg = addr_file.to_str().unwrap().to_owned();
@@ -2076,7 +2090,7 @@ mod tests {
             cli_with_code(&[
                 "serve",
                 "--addr",
-                "127.0.0.1:0",
+                bind,
                 "--addr-file",
                 &addr_file_arg,
                 "--max-inflight",
@@ -2093,8 +2107,8 @@ mod tests {
         let t0 = std::time::Instant::now();
         let addr = loop {
             if let Ok(text) = std::fs::read_to_string(&addr_file) {
-                if text.trim().parse::<std::net::SocketAddr>().is_ok() {
-                    break text.trim().to_owned();
+                if let Ok(addr) = text.trim().parse::<std::net::SocketAddr>() {
+                    break addr;
                 }
             }
             assert!(
@@ -2103,8 +2117,9 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(20));
         };
+        assert!(addr.ip().is_loopback(), "{bind} bound {addr}");
 
-        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
         stream
             .write_all(b"{\"id\":\"p\",\"cmd\":\"ping\"}\n{\"id\":\"bye\",\"cmd\":\"shutdown\"}\n")
             .unwrap();

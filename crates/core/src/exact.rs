@@ -475,10 +475,13 @@ impl SearchContext {
         schedule.extend((0..probes as u64).map(|seed| (probe_budget, seed, None)));
         schedule.push((exhaustive_budget, u64::MAX, None));
 
+        // One state for every attempt: each descent resets it in place.
+        let mut state = SearchState::new(self, problem, &vendors_of_type);
         for (attempt, &(budget, seed, pin)) in schedule.iter().enumerate() {
             let exhaustive = attempt + 1 == schedule.len();
-            let (r, state) = self.descend(
+            let r = self.descend(
                 problem,
+                &mut state,
                 &vendors_of_type,
                 &min_area,
                 budget,
@@ -532,12 +535,14 @@ impl SearchContext {
         Some((vendors_of_type, min_area))
     }
 
-    /// One backtracking descent with `budget` nodes. `pin`, when given,
-    /// fixes every copy's vendor to that coloring.
+    /// One backtracking descent with `budget` nodes from a freshly reset
+    /// `state`. `pin`, when given, fixes every copy's vendor to that
+    /// coloring. On `Found` the design is left in `state`.
     #[allow(clippy::too_many_arguments)]
     fn descend(
         &self,
         problem: &SynthesisProblem,
+        state: &mut SearchState,
         vendors_of_type: &[Vec<VendorId>],
         min_area: &[u64; IpTypeId::COUNT],
         budget: usize,
@@ -545,31 +550,23 @@ impl SearchContext {
         pin: Option<&[Option<VendorId>]>,
         start: Instant,
         options: &SolveOptions,
-    ) -> (SearchResult, SearchState) {
-        let num_vendors = problem.catalog().num_vendors();
-        let mut state = SearchState::new(
-            self,
-            num_vendors,
-            problem.total_latency(),
-            vendors_of_type,
-            seed,
-        );
+    ) -> SearchResult {
+        state.reset(self, vendors_of_type, seed);
         if let Some(coloring) = pin {
             state.pin(self, coloring);
         }
-        let r = self.search(
+        self.search(
             problem,
             vendors_of_type,
-            &mut state,
+            state,
             0,
             budget,
-            num_vendors,
+            problem.catalog().num_vendors(),
             problem.total_latency(),
             min_area,
             start,
             options,
-        );
-        (r, state)
+        )
     }
 
     /// Reads the design out of a search state that reached `Found`.
@@ -721,8 +718,9 @@ impl SearchContext {
         // Candidate (cycle, vendor) pairs, cheapest-impact first: prefer
         // slots that reuse an existing instance (zero area growth), then
         // lightly-loaded cycles. A small random tiebreak diversifies the
-        // restart probes.
-        let mut candidates: Vec<(u64, usize, VendorId)> = Vec::new();
+        // restart probes. This depth's candidates sit on the shared stack
+        // from `base`; deeper levels push above them and pop back.
+        let base = state.candidates.len();
         for &v in &vendors_of_type[t.index()] {
             if state.forbid[ci * 64 + v.index()] > 0 {
                 continue;
@@ -741,12 +739,14 @@ impl SearchContext {
                 }
                 let jitter = state.rng_below(16);
                 let key = area_penalty * 1_000 + u as u64 * 64 + cycle as u64 * 4 + jitter;
-                candidates.push((key, cycle, v));
+                state.candidates.push((key, cycle, v));
             }
         }
-        candidates.sort_unstable_by_key(|&(k, _, _)| k);
+        let end = state.candidates.len();
+        state.candidates[base..].sort_unstable_by_key(|&(k, _, _)| k);
 
-        for (_, cycle, v) in candidates {
+        for k in base..end {
+            let (_, cycle, v) = state.candidates[k];
             let grew = state.apply(num_vendors, total_cycles, v, t, cycle, area_of);
             state.assignment[ci] = Some((cycle, v));
             // Forward checking: shrink neighbours' vendor domains; a
@@ -779,6 +779,7 @@ impl SearchContext {
                 other => return other,
             }
         }
+        state.candidates.truncate(base);
         SearchResult::Exhausted
     }
 }
@@ -811,44 +812,63 @@ struct SearchState {
     area: u64,
     nodes: usize,
     rng: u64,
+    /// Candidate `(key, cycle, vendor)` triples of every open depth,
+    /// stacked in depth order.
+    candidates: Vec<(u64, usize, VendorId)>,
 }
 
 impl SearchState {
+    /// A state sized for `problem` under one license subset; call
+    /// [`Self::reset`] before each descent.
     fn new(
         ctx: &SearchContext,
-        num_vendors: usize,
-        total: usize,
+        problem: &SynthesisProblem,
         vendors_of_type: &[Vec<VendorId>],
-        seed: u64,
     ) -> Self {
         let copies = 3 * ctx.n;
-        let mut avail = vec![0u16; copies];
-        let mut remaining = [0usize; IpTypeId::COUNT];
+        let num_vendors = problem.catalog().num_vendors();
         let mut licensed = [0u64; IpTypeId::COUNT];
         for (t, vendors) in vendors_of_type.iter().enumerate() {
             for v in vendors {
                 licensed[t] |= 1 << v.index();
             }
         }
-        for &c in &ctx.order {
-            let i = cidx(ctx.n, c);
-            let t = ctx.op_type[c.op.index()];
-            avail[i] = vendors_of_type[t.index()].len() as u16;
-            remaining[t.index()] += 1;
-        }
         SearchState {
             assignment: vec![None; copies],
-            usage: vec![0u16; num_vendors * IpTypeId::COUNT * (total + 1)],
+            usage: vec![0u16; num_vendors * IpTypeId::COUNT * (problem.total_latency() + 1)],
             instances: vec![0u16; num_vendors * IpTypeId::COUNT],
             forbid: vec![0u8; copies * 64],
-            avail,
-            remaining,
+            avail: vec![0u16; copies],
+            remaining: [0; IpTypeId::COUNT],
             licensed,
             type_instances: [0; IpTypeId::COUNT],
             area: 0,
             nodes: 0,
-            rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xDEAD_BEEF,
+            rng: 0,
+            candidates: Vec::with_capacity(copies * 8),
         }
+    }
+
+    /// Empties the design and the counters and reseeds the tiebreak; a
+    /// descent cut short by its budget leaves assignments behind.
+    fn reset(&mut self, ctx: &SearchContext, vendors_of_type: &[Vec<VendorId>], seed: u64) {
+        self.assignment.fill(None);
+        self.usage.fill(0);
+        self.instances.fill(0);
+        self.forbid.fill(0);
+        self.avail.fill(0);
+        self.remaining = [0; IpTypeId::COUNT];
+        for &c in &ctx.order {
+            let i = cidx(ctx.n, c);
+            let t = ctx.op_type[c.op.index()];
+            self.avail[i] = vendors_of_type[t.index()].len() as u16;
+            self.remaining[t.index()] += 1;
+        }
+        self.type_instances = [0; IpTypeId::COUNT];
+        self.area = 0;
+        self.nodes = 0;
+        self.rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xDEAD_BEEF;
+        self.candidates.clear();
     }
 
     fn rng_below(&mut self, bound: u64) -> u64 {
@@ -1161,9 +1181,11 @@ mod tests {
             panic!("the optimal license set is colorable");
         };
         let start = Instant::now();
-        let descend = |budget, seed, pin| {
-            let (r, _) = ctx.descend(
+        let mut state = SearchState::new(&ctx, &p, &vendors_of_type);
+        let mut descend = |budget, seed, pin| {
+            ctx.descend(
                 &p,
+                &mut state,
                 &vendors_of_type,
                 &min_area,
                 budget,
@@ -1171,8 +1193,7 @@ mod tests {
                 pin,
                 start,
                 &options,
-            );
-            r
+            )
         };
         assert!(matches!(
             descend(4 * ctx.order.len(), 0, None),
