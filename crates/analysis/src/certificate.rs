@@ -19,7 +19,7 @@ use std::fmt;
 
 use troyhls::Mode;
 
-use crate::render::json_escape;
+use troy_dfg::json::escape;
 
 /// Proof record: no single vendor and no colluding vendor pair defeats
 /// the comparator on any output cone of the certified binding.
@@ -67,13 +67,13 @@ impl SecurityCertificate {
     pub fn to_json(&self) -> String {
         format!(
             concat!(
-                "{{\"design\":\"{}\",\"mode\":\"{}\",\"cones\":{},\"ops_covered\":{},",
+                "{{\"design\":{},\"mode\":{},\"cones\":{},\"ops_covered\":{},",
                 "\"single_vendor_safe\":{},\"min_collusion_size\":{},",
                 "\"pair_exposed_cones\":{},\"recovery_exposed_cones\":{},",
                 "\"vendors_enumerated\":{},\"checksum\":{}}}"
             ),
-            json_escape(&self.design),
-            json_escape(&self.mode.to_string()),
+            escape(&self.design),
+            escape(&self.mode.to_string()),
             self.cones,
             self.ops_covered,
             self.single_vendor_safe,
@@ -166,6 +166,13 @@ mod tests {
         assert!(j.contains("\"single_vendor_safe\":true"));
         assert!(j.contains("\"checksum\":3735928559"));
         assert!(!j.contains('.') || j.contains("detection"), "{j}");
+        assert_eq!(
+            j,
+            "{\"design\":\"polynom\",\"mode\":\"detection+recovery\",\"cones\":1,\
+             \"ops_covered\":5,\"single_vendor_safe\":true,\"min_collusion_size\":2,\
+             \"pair_exposed_cones\":0,\"recovery_exposed_cones\":1,\"vendors_enumerated\":4,\
+             \"checksum\":3735928559}"
+        );
     }
 
     #[test]

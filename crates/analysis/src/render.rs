@@ -1,37 +1,15 @@
 //! Rendering reports as human text, machine JSON and SARIF 2.1.0.
 //!
-//! The JSON is written by hand (no serialization dependency): the shapes
-//! are small and fixed, and the snapshot tests pin them byte-for-byte.
+//! The JSON is pretty-printed by hand: the shapes are small and fixed,
+//! and the snapshot tests pin them byte-for-byte. Every string goes
+//! through the workspace's one escaper, [`troy_dfg::json::escape`].
 
 use std::fmt::Write as _;
 
+use troy_dfg::json::escape;
+
 use crate::diagnostic::{Code, Diagnostic, Severity};
 use crate::engine::AnalysisReport;
-
-/// Escapes a string for inclusion in a JSON string literal.
-#[must_use]
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Quotes a string as a JSON literal.
-fn q(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
-}
 
 impl AnalysisReport {
     /// Plain-text rendering: one block per diagnostic plus a summary line.
@@ -56,10 +34,10 @@ impl AnalysisReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"tool\": {},", q("troy-analysis"));
-        let _ = writeln!(out, "  \"version\": {},", q(env!("CARGO_PKG_VERSION")));
-        let _ = writeln!(out, "  \"design\": {},", q(&self.design));
-        let _ = writeln!(out, "  \"mode\": {},", q(&self.mode));
+        let _ = writeln!(out, "  \"tool\": {},", escape("troy-analysis"));
+        let _ = writeln!(out, "  \"version\": {},", escape(env!("CARGO_PKG_VERSION")));
+        let _ = writeln!(out, "  \"design\": {},", escape(&self.design));
+        let _ = writeln!(out, "  \"mode\": {},", escape(&self.mode));
         let _ = writeln!(
             out,
             "  \"summary\": {{\"errors\": {}, \"warnings\": {}, \"notes\": {}, \"blocking\": {}}},",
@@ -95,21 +73,21 @@ impl AnalysisReport {
         let _ = writeln!(
             out,
             "  \"$schema\": {},",
-            q("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
+            escape("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
         );
-        let _ = writeln!(out, "  \"version\": {},", q("2.1.0"));
+        let _ = writeln!(out, "  \"version\": {},", escape("2.1.0"));
         out.push_str("  \"runs\": [\n    {\n");
         out.push_str("      \"tool\": {\n        \"driver\": {\n");
-        let _ = writeln!(out, "          \"name\": {},", q("troy-analysis"));
+        let _ = writeln!(out, "          \"name\": {},", escape("troy-analysis"));
         let _ = writeln!(
             out,
             "          \"version\": {},",
-            q(env!("CARGO_PKG_VERSION"))
+            escape(env!("CARGO_PKG_VERSION"))
         );
         let _ = writeln!(
             out,
             "          \"informationUri\": {},",
-            q("https://example.invalid/troyhls")
+            escape("https://example.invalid/troyhls")
         );
         out.push_str("          \"rules\": [");
         for (i, code) in used.iter().enumerate() {
@@ -155,28 +133,32 @@ impl AnalysisReport {
 /// One diagnostic as a JSON object (tool schema).
 fn diagnostic_json(d: &Diagnostic, indent: &str) -> String {
     let mut out = format!("{indent}{{\n");
-    let _ = writeln!(out, "{indent}  \"code\": {},", q(d.code.as_str()));
-    let _ = writeln!(out, "{indent}  \"name\": {},", q(d.code.name()));
-    let _ = writeln!(out, "{indent}  \"severity\": {},", q(d.severity.as_str()));
-    let _ = writeln!(out, "{indent}  \"message\": {},", q(&d.message));
+    let _ = writeln!(out, "{indent}  \"code\": {},", escape(d.code.as_str()));
+    let _ = writeln!(out, "{indent}  \"name\": {},", escape(d.code.name()));
+    let _ = writeln!(
+        out,
+        "{indent}  \"severity\": {},",
+        escape(d.severity.as_str())
+    );
+    let _ = writeln!(out, "{indent}  \"message\": {},", escape(&d.message));
     if let Some(eq) = d.code.paper_ref() {
-        let _ = writeln!(out, "{indent}  \"paperRef\": {},", q(eq));
+        let _ = writeln!(out, "{indent}  \"paperRef\": {},", escape(eq));
     }
     if !d.location.is_empty() {
         let mut fields: Vec<String> = Vec::new();
         if let Some(c) = d.location.copy {
-            fields.push(format!("\"copy\": {}", q(&c.to_string())));
+            fields.push(format!("\"copy\": {}", escape(&c.to_string())));
         } else if let Some(n) = d.location.node {
-            fields.push(format!("\"node\": {}", q(&n.to_string())));
+            fields.push(format!("\"node\": {}", escape(&n.to_string())));
         }
         if let Some(cy) = d.location.cycle {
             fields.push(format!("\"cycle\": {cy}"));
         }
         if let Some(v) = d.location.vendor {
-            fields.push(format!("\"vendor\": {}", q(&v.to_string())));
+            fields.push(format!("\"vendor\": {}", escape(&v.to_string())));
         }
         if let Some(t) = d.location.ip_type {
-            fields.push(format!("\"ipType\": {}", q(t.name())));
+            fields.push(format!("\"ipType\": {}", escape(t.name())));
         }
         let _ = writeln!(out, "{indent}  \"location\": {{{}}},", fields.join(", "));
     }
@@ -188,13 +170,13 @@ fn diagnostic_json(d: &Diagnostic, indent: &str) -> String {
         let alts = f
             .alternatives
             .iter()
-            .map(|v| q(&v.to_string()))
+            .map(|v| escape(&v.to_string()))
             .collect::<Vec<_>>()
             .join(", ");
         let _ = write!(
             out,
             "{{\"description\": {}, \"alternatives\": [{alts}]}}",
-            q(&f.description)
+            escape(&f.description)
         );
     }
     out.push_str("]\n");
@@ -209,18 +191,18 @@ fn rule_json(code: Code, indent: &str) -> String {
         None => code.summary().to_string(),
     };
     let mut out = format!("{indent}{{\n");
-    let _ = writeln!(out, "{indent}  \"id\": {},", q(code.as_str()));
-    let _ = writeln!(out, "{indent}  \"name\": {},", q(code.name()));
+    let _ = writeln!(out, "{indent}  \"id\": {},", escape(code.as_str()));
+    let _ = writeln!(out, "{indent}  \"name\": {},", escape(code.name()));
     let _ = writeln!(
         out,
         "{indent}  \"shortDescription\": {{\"text\": {}}},",
-        q(code.summary())
+        escape(code.summary())
     );
-    let _ = writeln!(out, "{indent}  \"help\": {{\"text\": {}}},", q(&help));
+    let _ = writeln!(out, "{indent}  \"help\": {{\"text\": {}}},", escape(&help));
     let _ = writeln!(
         out,
         "{indent}  \"defaultConfiguration\": {{\"level\": {}}}",
-        q(sarif_level(code.severity()))
+        escape(sarif_level(code.severity()))
     );
     let _ = write!(out, "{indent}}}");
     out
@@ -236,22 +218,30 @@ fn result_json(d: &Diagnostic, rule_index: usize, design: &str, indent: &str) ->
     }
     let location = d.location.logical_name();
     let mut out = format!("{indent}{{\n");
-    let _ = writeln!(out, "{indent}  \"ruleId\": {},", q(d.code.as_str()));
+    let _ = writeln!(out, "{indent}  \"ruleId\": {},", escape(d.code.as_str()));
     let _ = writeln!(out, "{indent}  \"ruleIndex\": {rule_index},");
-    let _ = writeln!(out, "{indent}  \"level\": {},", q(sarif_level(d.severity)));
+    let _ = writeln!(
+        out,
+        "{indent}  \"level\": {},",
+        escape(sarif_level(d.severity))
+    );
     let comma = if location.is_some() { "," } else { "" };
     let _ = writeln!(
         out,
         "{indent}  \"message\": {{\"text\": {}}}{comma}",
-        q(&text)
+        escape(&text)
     );
     if let Some(name) = location {
         let fq = format!("{design}::{name}");
         let _ = writeln!(out, "{indent}  \"locations\": [");
         let _ = writeln!(out, "{indent}    {{\"logicalLocations\": [{{");
-        let _ = writeln!(out, "{indent}      \"name\": {},", q(&name));
-        let _ = writeln!(out, "{indent}      \"fullyQualifiedName\": {},", q(&fq));
-        let _ = writeln!(out, "{indent}      \"kind\": {}", q("element"));
+        let _ = writeln!(out, "{indent}      \"name\": {},", escape(&name));
+        let _ = writeln!(
+            out,
+            "{indent}      \"fullyQualifiedName\": {},",
+            escape(&fq)
+        );
+        let _ = writeln!(out, "{indent}      \"kind\": {}", escape("element"));
         let _ = writeln!(out, "{indent}    }}]}}");
         let _ = writeln!(out, "{indent}  ]");
     }
@@ -283,12 +273,6 @@ mod tests {
             .unwrap();
         let imp = Implementation::new(p.dfg().len());
         lint(&p, Some(&imp))
-    }
-
-    #[test]
-    fn json_escaping_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -26,6 +26,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use troy_bench::committed_value;
 use troy_portfolio::default_jobs;
 use troy_sim::{run_grid, CampaignReport, DesignUnderTest, GridConfig};
 use troyhls::{ExactSolver, Mode, SolveOptions};
@@ -71,18 +72,6 @@ fn synthesize_designs() -> Vec<DesignUnderTest> {
 /// Repo-root path of the committed campaign record.
 fn bench_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_campaign.json")
-}
-
-/// Pulls a `"key": <float>` value out of the committed JSON — a string
-/// scan over our own fixed format, so no JSON dependency is needed.
-fn committed_value(text: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    let at = text.find(&tag)? + tag.len();
-    let digits: String = text[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    digits.parse().ok()
 }
 
 fn check(report: &CampaignReport) -> i32 {

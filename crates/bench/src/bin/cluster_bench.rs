@@ -27,6 +27,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use troy_bench::committed_value;
 use troy_cluster::{Cluster, ClusterConfig, ClusterSnapshot, WorkerState};
 use troy_resilience::Chaos;
 use troy_service::{parse_request, BreakerConfig, Json};
@@ -308,18 +309,6 @@ fn render(drill: &Drill, sweep: &Sweep) -> String {
         t.chaos_journal_torn,
         latency_us_mean,
     )
-}
-
-/// Pulls a `"key": <number>` value out of the committed JSON — a string
-/// scan over our own fixed format, so no JSON dependency is needed.
-fn committed_value(text: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    let at = text.find(&tag)? + tag.len();
-    let digits: String = text[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    digits.parse().ok()
 }
 
 fn check(drill: &Drill, sweep: &Sweep) -> i32 {

@@ -310,6 +310,20 @@ pub fn harness_options() -> SolveOptions {
     }
 }
 
+/// Pulls a `"key": <number>` value out of a committed `BENCH_*.json`
+/// record for a `--check` gate: a string scan over the records' own
+/// fixed format, so no JSON float reader is needed.
+#[must_use]
+pub fn committed_value(text: &str, key: &str) -> Option<f64> {
+    let tag = format!("\"{key}\": ");
+    let at = text.find(&tag)? + tag.len();
+    let digits: String = text[at..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || *c == '.')
+        .collect();
+    digits.parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -514,8 +514,8 @@ fn batch(args: &[String], out: &mut String) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Renders the `--bench-json` speedup record (hand-rolled: the workspace
-/// has no serialization dependency, see `troy-portfolio`'s cache layer).
+/// Renders the `--bench-json` speedup record. It is pretty-printed by
+/// hand because it carries floats, which `troy_dfg::json` leaves out.
 fn bench_record(config: &BatchConfig, measured: &[(&str, usize, Option<f64>, f64)]) -> String {
     let speedup = |seq: f64, par: f64| if par > 0.0 { seq / par } else { 0.0 };
     let mut json = String::from("{\n");

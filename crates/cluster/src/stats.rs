@@ -4,172 +4,65 @@
 //! relayed response, so a client always sees cluster-level health in the
 //! same frame position a single daemon reports its own.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Shared atomic counters for the cluster router. All increments are
-/// relaxed — monotonic telemetry, not synchronization.
-#[derive(Debug, Default)]
-pub struct ClusterStats {
-    /// Connections accepted by the router.
-    pub connections: AtomicU64,
-    /// Routable requests received (`synth` + `probe` + `put`).
-    pub requests: AtomicU64,
-    /// Requests relayed with an `ok`, `degraded` or `miss` outcome.
-    pub routed_ok: AtomicU64,
-    /// Requests relayed with (or terminated by) a typed `error`.
-    pub routed_error: AtomicU64,
-    /// Worker rejections (overload, draining…) relayed to the client.
-    pub relayed_rejects: AtomicU64,
-    /// Requests shed by the router itself: no live worker could accept
-    /// (`unavailable` + TS006).
-    pub sheds: AtomicU64,
-    /// Peer cache probes sent to workers.
-    pub probes: AtomicU64,
-    /// Peer cache probes answered with a hit.
-    pub probe_hits: AtomicU64,
-    /// Dispatch attempts re-hashed to a backup worker after a transport
-    /// failure or injected fault.
-    pub failovers: AtomicU64,
-    /// Lines that failed protocol parsing at the router.
-    pub malformed: AtomicU64,
-    /// Dead slots revived by the supervisor (generation bumps).
-    pub respawns: AtomicU64,
-    /// Entries replicated to ring successors by write-behind.
-    pub replicas_put: AtomicU64,
-    /// Entries put back to the key's owner after a non-owner probe hit.
-    pub read_repairs: AtomicU64,
-    /// Entries warmed into a respawned worker's cold cache.
-    pub warmed: AtomicU64,
-    /// Accepted `synth` frames appended to the dispatch journal.
-    pub journal_appends: AtomicU64,
-    /// Journal entries replayed through dispatch after a restart.
-    pub journal_replays: AtomicU64,
-    /// Injected worker-kill faults.
-    pub chaos_kills: AtomicU64,
-    /// Injected network-partition faults.
-    pub chaos_partitions: AtomicU64,
-    /// Injected torn-frame faults.
-    pub chaos_torn: AtomicU64,
-    /// Injected worker-stall faults.
-    pub chaos_stalls: AtomicU64,
-    /// Injected respawn-storm faults (the replacement died on arrival).
-    pub chaos_respawn_storms: AtomicU64,
-    /// Injected replica-drop faults (a write-behind copy was lost).
-    pub chaos_replica_drops: AtomicU64,
-    /// Injected torn journal appends.
-    pub chaos_journal_torn: AtomicU64,
-}
-
-impl ClusterStats {
-    /// Relaxed increment helper.
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy for rendering.
-    #[must_use]
-    pub fn snapshot(&self) -> ClusterSnapshot {
-        ClusterSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            routed_ok: self.routed_ok.load(Ordering::Relaxed),
-            routed_error: self.routed_error.load(Ordering::Relaxed),
-            relayed_rejects: self.relayed_rejects.load(Ordering::Relaxed),
-            sheds: self.sheds.load(Ordering::Relaxed),
-            probes: self.probes.load(Ordering::Relaxed),
-            probe_hits: self.probe_hits.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-            respawns: self.respawns.load(Ordering::Relaxed),
-            replicas_put: self.replicas_put.load(Ordering::Relaxed),
-            read_repairs: self.read_repairs.load(Ordering::Relaxed),
-            warmed: self.warmed.load(Ordering::Relaxed),
-            journal_appends: self.journal_appends.load(Ordering::Relaxed),
-            journal_replays: self.journal_replays.load(Ordering::Relaxed),
-            chaos_kills: self.chaos_kills.load(Ordering::Relaxed),
-            chaos_partitions: self.chaos_partitions.load(Ordering::Relaxed),
-            chaos_torn: self.chaos_torn.load(Ordering::Relaxed),
-            chaos_stalls: self.chaos_stalls.load(Ordering::Relaxed),
-            chaos_respawn_storms: self.chaos_respawn_storms.load(Ordering::Relaxed),
-            chaos_replica_drops: self.chaos_replica_drops.load(Ordering::Relaxed),
-            chaos_journal_torn: self.chaos_journal_torn.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`ClusterStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)] // field meanings documented on ClusterStats
-pub struct ClusterSnapshot {
-    pub connections: u64,
-    pub requests: u64,
-    pub routed_ok: u64,
-    pub routed_error: u64,
-    pub relayed_rejects: u64,
-    pub sheds: u64,
-    pub probes: u64,
-    pub probe_hits: u64,
-    pub failovers: u64,
-    pub malformed: u64,
-    pub respawns: u64,
-    pub replicas_put: u64,
-    pub read_repairs: u64,
-    pub warmed: u64,
-    pub journal_appends: u64,
-    pub journal_replays: u64,
-    pub chaos_kills: u64,
-    pub chaos_partitions: u64,
-    pub chaos_torn: u64,
-    pub chaos_stalls: u64,
-    pub chaos_respawn_storms: u64,
-    pub chaos_replica_drops: u64,
-    pub chaos_journal_torn: u64,
-}
-
-impl ClusterSnapshot {
-    /// Renders the counters as a JSON object (the `stats` trailer).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"connections\":{},\"requests\":{},\"routed_ok\":{},\
-             \"routed_error\":{},\"relayed_rejects\":{},\"sheds\":{},\
-             \"probes\":{},\"probe_hits\":{},\"failovers\":{},\
-             \"malformed\":{},\"respawns\":{},\"replicas_put\":{},\
-             \"read_repairs\":{},\"warmed\":{},\"journal_appends\":{},\
-             \"journal_replays\":{},\"chaos_kills\":{},\
-             \"chaos_partitions\":{},\"chaos_torn\":{},\"chaos_stalls\":{},\
-             \"chaos_respawn_storms\":{},\"chaos_replica_drops\":{},\
-             \"chaos_journal_torn\":{}}}",
-            self.connections,
-            self.requests,
-            self.routed_ok,
-            self.routed_error,
-            self.relayed_rejects,
-            self.sheds,
-            self.probes,
-            self.probe_hits,
-            self.failovers,
-            self.malformed,
-            self.respawns,
-            self.replicas_put,
-            self.read_repairs,
-            self.warmed,
-            self.journal_appends,
-            self.journal_replays,
-            self.chaos_kills,
-            self.chaos_partitions,
-            self.chaos_torn,
-            self.chaos_stalls,
-            self.chaos_respawn_storms,
-            self.chaos_replica_drops,
-            self.chaos_journal_torn,
-        )
+troy_service::counters! {
+    /// Shared atomic counters for the cluster router. All increments are
+    /// relaxed — monotonic telemetry, not synchronization.
+    pub struct ClusterStats => ClusterSnapshot {
+        /// Connections accepted by the router.
+        connections,
+        /// Routable requests received (`synth` + `probe` + `put`).
+        requests,
+        /// Requests relayed with an `ok`, `degraded` or `miss` outcome.
+        routed_ok,
+        /// Requests relayed with (or terminated by) a typed `error`.
+        routed_error,
+        /// Worker rejections (overload, draining…) relayed to the client.
+        relayed_rejects,
+        /// Requests shed by the router itself: no live worker could accept
+        /// (`unavailable` + TS006).
+        sheds,
+        /// Peer cache probes sent to workers.
+        probes,
+        /// Peer cache probes answered with a hit.
+        probe_hits,
+        /// Dispatch attempts re-hashed to a backup worker after a transport
+        /// failure or injected fault.
+        failovers,
+        /// Lines that failed protocol parsing at the router.
+        malformed,
+        /// Dead slots revived by the supervisor (generation bumps).
+        respawns,
+        /// Entries replicated to ring successors by write-behind.
+        replicas_put,
+        /// Entries put back to the key's owner after a non-owner probe hit.
+        read_repairs,
+        /// Entries warmed into a respawned worker's cold cache.
+        warmed,
+        /// Accepted `synth` frames appended to the dispatch journal.
+        journal_appends,
+        /// Journal entries replayed through dispatch after a restart.
+        journal_replays,
+        /// Injected worker-kill faults.
+        chaos_kills,
+        /// Injected network-partition faults.
+        chaos_partitions,
+        /// Injected torn-frame faults.
+        chaos_torn,
+        /// Injected worker-stall faults.
+        chaos_stalls,
+        /// Injected respawn-storm faults (the replacement died on arrival).
+        chaos_respawn_storms,
+        /// Injected replica-drop faults (a write-behind copy was lost).
+        chaos_replica_drops,
+        /// Injected torn journal appends.
+        chaos_journal_torn,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use troy_service::Json;
 
     #[test]
@@ -188,5 +81,42 @@ mod tests {
         assert_eq!(json.get("respawns").and_then(Json::as_u64), Some(1));
         assert_eq!(json.get("replicas_put").and_then(Json::as_u64), Some(0));
         assert_eq!(json.get("journal_replays").and_then(Json::as_u64), Some(1));
+
+        // Every counter distinct: a swapped or dropped field changes the bytes.
+        let distinct = ClusterStats {
+            connections: AtomicU64::new(1),
+            requests: AtomicU64::new(2),
+            routed_ok: AtomicU64::new(3),
+            routed_error: AtomicU64::new(4),
+            relayed_rejects: AtomicU64::new(5),
+            sheds: AtomicU64::new(6),
+            probes: AtomicU64::new(7),
+            probe_hits: AtomicU64::new(8),
+            failovers: AtomicU64::new(9),
+            malformed: AtomicU64::new(10),
+            respawns: AtomicU64::new(11),
+            replicas_put: AtomicU64::new(12),
+            read_repairs: AtomicU64::new(13),
+            warmed: AtomicU64::new(14),
+            journal_appends: AtomicU64::new(15),
+            journal_replays: AtomicU64::new(16),
+            chaos_kills: AtomicU64::new(17),
+            chaos_partitions: AtomicU64::new(18),
+            chaos_torn: AtomicU64::new(19),
+            chaos_stalls: AtomicU64::new(20),
+            chaos_respawn_storms: AtomicU64::new(21),
+            chaos_replica_drops: AtomicU64::new(22),
+            chaos_journal_torn: AtomicU64::new(23),
+        };
+        assert_eq!(
+            distinct.snapshot().to_json(),
+            "{\"connections\":1,\"requests\":2,\"routed_ok\":3,\"routed_error\":4,\
+             \"relayed_rejects\":5,\"sheds\":6,\"probes\":7,\"probe_hits\":8,\
+             \"failovers\":9,\"malformed\":10,\"respawns\":11,\"replicas_put\":12,\
+             \"read_repairs\":13,\"warmed\":14,\"journal_appends\":15,\
+             \"journal_replays\":16,\"chaos_kills\":17,\"chaos_partitions\":18,\
+             \"chaos_torn\":19,\"chaos_stalls\":20,\"chaos_respawn_storms\":21,\
+             \"chaos_replica_drops\":22,\"chaos_journal_torn\":23}"
+        );
     }
 }

@@ -12,6 +12,9 @@
 //!   ([`to_dot`]);
 //! - seeded random generators ([`random_dfg`]) for stress testing;
 //! - [`Fnv1a`], the content hash every crate above this one shares;
+//! - [`json`], the one JSON subset reader and string escaper that the
+//!   wire protocol, the on-disk result cache and the security
+//!   certificate share;
 //! - the paper's six evaluation benchmarks plus extras ([`benchmarks`]).
 //!
 //! # Quickstart
@@ -38,6 +41,7 @@ mod dot;
 mod fnv;
 mod generate;
 mod graph;
+pub mod json;
 mod op;
 mod parse;
 

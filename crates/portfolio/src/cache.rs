@@ -20,6 +20,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
 
+use troy_dfg::json::{escape, Json};
 use troy_dfg::Fnv1a;
 use troyhls::{
     Assignment, Implementation, Mode, Role, SolveOptions, Synthesis, SynthesisProblem, VendorId,
@@ -234,8 +235,12 @@ impl CachedEntry {
         let mut s = String::new();
         let _ = write!(
             s,
-            "{{\"cost\":{},\"proven_optimal\":{},\"timed_out\":{},\"winner\":\"{}\",\"num_ops\":{},\"assignments\":[",
-            self.cost, self.proven_optimal, self.timed_out, self.winner, self.num_ops
+            "{{\"cost\":{},\"proven_optimal\":{},\"timed_out\":{},\"winner\":{},\"num_ops\":{},\"assignments\":[",
+            self.cost,
+            self.proven_optimal,
+            self.timed_out,
+            escape(&self.winner),
+            self.num_ops
         );
         for (i, (op, role, cycle, vendor)) in self.assignments.iter().enumerate() {
             let comma = if i == 0 { "" } else { "," };
@@ -246,33 +251,31 @@ impl CachedEntry {
     }
 
     /// Parses [`CachedEntry::to_json`] output (tolerant of key order).
+    /// `None` on malformed JSON and on any missing or ill-typed field.
     #[must_use]
     pub fn from_json(text: &str) -> Option<Self> {
-        let value = json::parse(text)?;
-        let obj = value.as_object()?;
-        let field = |name: &str| obj.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let assignments = field("assignments")?
-            .as_array()?
+        let value = Json::parse(text)?;
+        let Json::Arr(rows) = value.get("assignments")? else {
+            return None;
+        };
+        let assignments = rows
             .iter()
-            .map(|row| {
-                let quad = row.as_array()?;
-                if quad.len() != 4 {
-                    return None;
-                }
-                Some((
+            .map(|row| match row {
+                Json::Arr(quad) if quad.len() == 4 => Some((
                     quad[0].as_u64()? as usize,
                     quad[1].as_u64()? as usize,
                     quad[2].as_u64()? as usize,
                     quad[3].as_u64()? as usize,
-                ))
+                )),
+                _ => None,
             })
             .collect::<Option<Vec<_>>>()?;
         Some(CachedEntry {
-            cost: field("cost")?.as_u64()?,
-            proven_optimal: field("proven_optimal")?.as_bool()?,
-            timed_out: field("timed_out")?.as_bool()?,
-            winner: field("winner")?.as_str()?.to_owned(),
-            num_ops: field("num_ops")?.as_u64()? as usize,
+            cost: value.get("cost")?.as_u64()?,
+            proven_optimal: value.get("proven_optimal")?.as_bool()?,
+            timed_out: value.get("timed_out")?.as_bool()?,
+            winner: value.get("winner")?.as_str()?.to_owned(),
+            num_ops: value.get("num_ops")?.as_u64()? as usize,
             assignments,
         })
     }
@@ -472,193 +475,6 @@ fn write_atomic(dir: &std::path::Path, name: &str, bytes: &[u8]) -> io::Result<(
     result
 }
 
-/// A deliberately tiny JSON subset parser (numbers, strings, bools,
-/// arrays, objects) — exactly what [`CachedEntry::to_json`] emits. The
-/// workspace has no serialization dependency, so the cache carries its
-/// own codec.
-mod json {
-    pub(super) enum Value {
-        Num(u64),
-        Bool(bool),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub(super) fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub(super) fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        pub(super) fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub(super) fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        pub(super) fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    pub(super) fn parse(text: &str) -> Option<Value> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        (pos == bytes.len()).then_some(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while bytes
-            .get(*pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            *pos += 1;
-        }
-    }
-
-    fn eat(bytes: &[u8], pos: &mut usize, expected: u8) -> Option<()> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&expected) {
-            *pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos)? {
-            b'{' => parse_object(bytes, pos),
-            b'[' => parse_array(bytes, pos),
-            b'"' => parse_string(bytes, pos).map(Value::Str),
-            b'0'..=b'9' => parse_number(bytes, pos),
-            b't' => parse_literal(bytes, pos, b"true").map(|()| Value::Bool(true)),
-            b'f' => parse_literal(bytes, pos, b"false").map(|()| Value::Bool(false)),
-            _ => None,
-        }
-    }
-
-    fn parse_literal(bytes: &[u8], pos: &mut usize, word: &[u8]) -> Option<()> {
-        if bytes[*pos..].starts_with(word) {
-            *pos += word.len();
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-        let start = *pos;
-        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        std::str::from_utf8(&bytes[start..*pos])
-            .ok()?
-            .parse()
-            .ok()
-            .map(Value::Num)
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
-        eat(bytes, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos)? {
-                b'"' => {
-                    *pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match bytes.get(*pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        _ => return None,
-                    }
-                    *pos += 1;
-                }
-                &byte if byte < 0x80 => {
-                    out.push(char::from(byte));
-                    *pos += 1;
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-        eat(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Some(Value::Arr(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos)? {
-                b',' => *pos += 1,
-                b']' => {
-                    *pos += 1;
-                    return Some(Value::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-        eat(bytes, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Some(Value::Obj(fields));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            eat(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            fields.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos)? {
-                b',' => *pos += 1,
-                b'}' => {
-                    *pos += 1;
-                    return Some(Value::Obj(fields));
-                }
-                _ => return None,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,6 +560,13 @@ mod tests {
         let entry = CachedEntry::from_result(&solved(&p));
         let back = CachedEntry::from_json(&entry.to_json()).expect("own output parses");
         assert_eq!(entry, back);
+        assert_eq!(
+            entry.to_json(),
+            "{\"cost\":4160,\"proven_optimal\":true,\"timed_out\":false,\"winner\":\"exact\",\
+             \"num_ops\":5,\"assignments\":[[0,0,2,1],[0,1,1,2],[0,2,5,0],[1,0,2,0],[1,1,1,1],\
+             [1,2,5,2],[2,0,1,0],[2,1,3,1],[2,2,6,2],[3,0,3,2],[3,1,3,0],[3,2,6,3],[4,0,4,3],\
+             [4,1,4,2],[4,2,7,0]]}"
+        );
     }
 
     #[test]
@@ -768,7 +591,16 @@ mod tests {
 
     #[test]
     fn garbage_json_is_a_miss_not_a_panic() {
-        for text in ["", "{", "[1,2", "{\"cost\":}", "nonsense", "{\"cost\":1}"] {
+        let depth_bomb = "[".repeat(10_000);
+        for text in [
+            "",
+            "{",
+            "[1,2",
+            "{\"cost\":}",
+            "nonsense",
+            "{\"cost\":1}",
+            &depth_bomb,
+        ] {
             assert!(CachedEntry::from_json(text).is_none(), "{text:?}");
         }
     }
@@ -806,6 +638,17 @@ mod tests {
             "quarantined file stays gone"
         );
         assert_eq!(cache.quarantined(), 2, "no re-quarantine of a missing file");
+
+        // Brackets nested far past any real entry: a miss, quarantined,
+        // never a stack overflow in the reader.
+        std::fs::write(dir.join(format!("{key}.json")), "[".repeat(10_000)).unwrap();
+        assert!(
+            cache.lookup(&key, &p).is_none(),
+            "nested brackets are a miss"
+        );
+        assert_eq!(cache.quarantined(), 3);
+        assert!(dir.join(format!("{key}.json.corrupt")).exists());
+        assert!(!dir.join(format!("{key}.json")).exists());
 
         // A correct store after quarantine works normally.
         cache.store(&key, &solved(&p));

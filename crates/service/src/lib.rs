@@ -23,7 +23,6 @@
 pub mod admission;
 pub mod breaker;
 pub mod gate;
-pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod stats;
@@ -32,8 +31,8 @@ pub mod wire;
 pub use admission::{Admission, Admitted, Permit};
 pub use breaker::{Breaker, BreakerConfig, BreakerDecision, Breakers};
 pub use gate::Gate;
-pub use json::{escape, Json};
 pub use protocol::{parse_request, Cmd, RejectKind, Request, Response};
 pub use server::{build_problem, request_key, Service, ServiceConfig, ServiceHandle};
 pub use stats::{ServiceStats, StatsSnapshot};
+pub use troy_dfg::json::{escape, Json};
 pub use wire::{roundtrip, serve_frames, MAX_LINE};

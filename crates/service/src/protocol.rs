@@ -24,8 +24,8 @@ use std::time::Duration;
 
 use troyhls::{Catalog, Mode};
 
-use crate::json::{escape, Json};
 use crate::stats::StatsSnapshot;
+use troy_dfg::json::{escape, Json};
 
 /// What a request asks the daemon to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -453,17 +453,30 @@ mod tests {
     #[test]
     fn response_renders_to_one_parseable_line() {
         let stats = StatsSnapshot::default();
-        let mut resp = Response::outcome("r7", "degraded");
+        let mut resp = Response::outcome("r7", "ok");
         resp.cost = Some(4160);
         resp.backend = Some("exact".into());
         resp.proven = Some(true);
-        resp.relaxation = Some(1);
+        resp.relaxation = Some(0);
         resp.elapsed_ms = Some(42);
         resp.codes = vec!["TR001".into(), "TS002".into()];
         resp.certificate = Some(
             r#"{"design":"polynom","mode":"detection-only","single_vendor_safe":true}"#.to_owned(),
         );
+        let zeros = "\"stats\":{\"accepted\":0,\"shed_overload\":0,\"shed_circuit\":0,\
+             \"completed_ok\":0,\"completed_degraded\":0,\"failed\":0,\"panics\":0,\
+             \"malformed\":0,\"connections\":0,\"cache_hits\":0,\"probes\":0,\
+             \"probe_hits\":0,\"puts\":0,\"put_stores\":0}}";
         let line = resp.render(&stats);
+        assert_eq!(
+            line,
+            format!(
+                "{{\"id\":\"r7\",\"status\":\"ok\",\"cost\":4160,\"backend\":\"exact\",\
+                 \"proven\":true,\"relaxation\":0,\"elapsed_ms\":42,\"codes\":[\"TR001\",\"TS002\"],\
+                 \"certificate\":{{\"design\":\"polynom\",\"mode\":\"detection-only\",\
+                 \"single_vendor_safe\":true}},{zeros}"
+            )
+        );
         assert!(!line.contains('\n'));
         let back = Json::parse(&line).expect("response parses");
         assert_eq!(back.get("id").and_then(Json::as_str), Some("r7"));
@@ -473,11 +486,20 @@ mod tests {
         assert_eq!(cert.get("design").and_then(Json::as_str), Some("polynom"));
         assert_eq!(cert.get("single_vendor_safe"), Some(&Json::Bool(true)));
 
-        let reject = Response::reject(None, RejectKind::Overloaded, "queue full");
+        let mut reject = Response::reject(None, RejectKind::Overloaded, "queue full");
+        reject.retry_after_ms = Some(250);
         let line = reject.render(&stats);
+        assert_eq!(
+            line,
+            format!(
+                "{{\"id\":null,\"status\":\"rejected\",\"kind\":\"overloaded\",\
+                 \"message\":\"queue full\",\"retry_after_ms\":250,{zeros}"
+            )
+        );
         let back = Json::parse(&line).expect("rejection parses");
         assert_eq!(back.get("id"), Some(&Json::Null));
         assert_eq!(back.get("kind").and_then(Json::as_str), Some("overloaded"));
         assert_eq!(back.get("status").and_then(Json::as_str), Some("rejected"));
+        assert_eq!(back.get("retry_after_ms").and_then(Json::as_u64), Some(250));
     }
 }
