@@ -1,14 +1,47 @@
-//! Property tests pinning the sparse revised simplex to the dense
-//! baseline engine.
+//! Tests pinning the sparse revised simplex to the dense reference engine.
 //!
 //! The two engines share no linear-algebra code (CSC + LU/eta-file + devex
 //! vs dense basis inverse + Dantzig), so agreement on random programs is
 //! strong evidence that the sparse core's algebra is right. Warm starts
 //! are additionally checked against cold starts: inheriting the parent
-//! basis may change the pivot *path*, but never the optimum.
+//! basis may change the pivot *path*, but never the optimum. Each engine
+//! drives the same branch and bound through [`Model::branch_and_bound`].
+
+use std::time::Instant;
 
 use proptest::prelude::*;
-use troy_ilp::{Cmp, LinExpr, LpEngine, Model, SolveParams, SolveStatus, VarId};
+
+use crate::cancel::Cancellation;
+use crate::model::{Cmp, LinExpr, Model, VarId};
+use crate::simplex::{solve_lp, Basis, LpProblem, LpResult};
+use crate::solve::{NodeLp, SolveParams, SolveResult, SolveStatus};
+
+/// The dense engine as a node-LP solver: it always cold-starts, so the
+/// parent basis is ignored.
+fn dense(
+    prob: &LpProblem,
+    max_iters: usize,
+    deadline: Option<Instant>,
+    cancel: Option<&Cancellation>,
+    _warm: Option<&Basis>,
+) -> LpResult {
+    crate::dense::solve_lp_dense(prob, max_iters, deadline, cancel)
+}
+
+/// The sparse engine with warm starts switched off.
+fn sparse_cold(
+    prob: &LpProblem,
+    max_iters: usize,
+    deadline: Option<Instant>,
+    cancel: Option<&Cancellation>,
+    _warm: Option<&Basis>,
+) -> LpResult {
+    solve_lp(prob, max_iters, deadline, cancel, None)
+}
+
+fn solve_with(m: &Model, node_lp: NodeLp) -> SolveResult {
+    m.branch_and_bound(&SolveParams::default(), node_lp)
+}
 
 /// A randomly generated small integer program.
 #[derive(Debug, Clone)]
@@ -66,22 +99,14 @@ fn build(t: &SmallIlp) -> (Model, Vec<VarId>) {
     (m, vars)
 }
 
-fn solve_with(m: &Model, engine: LpEngine, warm_start: bool) -> troy_ilp::SolveResult {
-    m.solve(&SolveParams {
-        lp_engine: engine,
-        warm_start,
-        ..SolveParams::default()
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn sparse_and_dense_engines_agree_on_random_programs(t in small_ilp()) {
         let (model, _) = build(&t);
-        let sparse = solve_with(&model, LpEngine::Sparse, true);
-        let dense = solve_with(&model, LpEngine::Dense, false);
+        let sparse = solve_with(&model, solve_lp);
+        let dense = solve_with(&model, dense);
         prop_assert_eq!(sparse.status(), dense.status(),
             "sparse {:?} vs dense {:?}", sparse.status(), dense.status());
         if sparse.status() == SolveStatus::Optimal {
@@ -102,8 +127,8 @@ proptest! {
     #[test]
     fn warm_starts_never_change_the_optimum(t in small_ilp()) {
         let (model, _) = build(&t);
-        let warm = solve_with(&model, LpEngine::Sparse, true);
-        let cold = solve_with(&model, LpEngine::Sparse, false);
+        let warm = solve_with(&model, solve_lp);
+        let cold = solve_with(&model, sparse_cold);
         prop_assert_eq!(warm.status(), cold.status());
         if warm.status() == SolveStatus::Optimal {
             let w = warm.objective().expect("optimal");
@@ -120,11 +145,55 @@ proptest! {
         // iteration counts are reproducible (this is what lets CI gate on
         // iteration-count regressions).
         let (model, _) = build(&t);
-        let a = solve_with(&model, LpEngine::Sparse, true);
-        let b = solve_with(&model, LpEngine::Sparse, true);
+        let a = solve_with(&model, solve_lp);
+        let b = solve_with(&model, solve_lp);
         prop_assert_eq!(a.status(), b.status());
         prop_assert_eq!(a.nodes(), b.nodes());
         prop_assert_eq!(a.lp_iterations(), b.lp_iterations());
         prop_assert_eq!(a.objective(), b.objective());
     }
+}
+
+#[test]
+fn dense_engine_matches_sparse_end_to_end() {
+    let mut m = Model::maximize();
+    let a = m.binary("a");
+    let b = m.binary("b");
+    let c = m.binary("c");
+    m.set_objective(LinExpr::term(10.0, a) + LinExpr::term(13.0, b) + LinExpr::term(7.0, c));
+    m.add_le(
+        "cap",
+        LinExpr::term(5.0, a) + LinExpr::term(6.0, b) + LinExpr::term(4.0, c),
+        10.0,
+    );
+    for (engine, node_lp) in [("sparse", solve_lp as NodeLp), ("dense", dense)] {
+        let r = solve_with(&m, node_lp);
+        assert_eq!(r.status(), SolveStatus::Optimal, "{engine}");
+        assert_eq!(r.objective().unwrap().round() as i64, 20, "{engine}");
+    }
+}
+
+#[test]
+fn warm_start_matches_cold_start_over_the_tree() {
+    // Same model solved with and without warm starts must land on the
+    // same optimum (node/iteration counts may differ).
+    let mut m = Model::minimize();
+    let x = m.integer("x", 0.0, 10.0);
+    let y = m.integer("y", 0.0, 10.0);
+    let z = m.integer("z", 0.0, 10.0);
+    m.set_objective(LinExpr::term(3.0, x) + LinExpr::term(4.0, y) + LinExpr::term(2.0, z));
+    m.add_ge("c1", LinExpr::term(2.0, x) + LinExpr::term(1.0, y), 7.0);
+    m.add_ge("c2", LinExpr::term(1.0, x) + LinExpr::term(3.0, z), 9.0);
+    m.add_ge("c3", LinExpr::term(1.0, y) + LinExpr::term(1.0, z), 4.0);
+    let warm = solve_with(&m, solve_lp);
+    let cold = solve_with(&m, sparse_cold);
+    assert_eq!(warm.status(), SolveStatus::Optimal);
+    assert_eq!(cold.status(), SolveStatus::Optimal);
+    assert!((warm.objective().unwrap() - cold.objective().unwrap()).abs() < 1e-6);
+    assert!(
+        warm.lp_iterations() <= cold.lp_iterations(),
+        "warm starts took more iterations ({}) than cold starts ({})",
+        warm.lp_iterations(),
+        cold.lp_iterations()
+    );
 }

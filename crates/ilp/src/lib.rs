@@ -8,8 +8,8 @@
 //! - a [`Model`] builder ([`LinExpr`], [`Cmp`], bounds, integrality);
 //! - a bounded-variable two-phase primal **revised** simplex for the LP
 //!   relaxations (CSC sparse columns, LU + eta-file basis updates, devex
-//!   pricing), with the dense predecessor retained as a cross-check
-//!   baseline selectable via [`LpEngine`];
+//!   pricing) — the one LP engine; its dense predecessor survives only as
+//!   a test oracle the unit tests cross-check it against;
 //! - LP-based branch & bound with most-fractional branching, MIP starts,
 //!   warm-started child LPs, time/node limits and graceful degradation
 //!   ([`SolveStatus::Feasible`] mirrors the paper's `*`-marked best-effort
@@ -39,15 +39,14 @@
 #![warn(missing_docs)]
 
 mod cancel;
+#[cfg(test)]
+mod cross_check;
+#[cfg(test)]
 mod dense;
-mod export;
 mod model;
-mod presolve;
 mod simplex;
 mod solve;
 
 pub use cancel::Cancellation;
-pub use export::to_lp_format;
 pub use model::{Cmp, Constraint, LinExpr, Model, Sense, VarId, VarKind, Variable};
-pub use presolve::{presolve, Presolved};
-pub use solve::{LpEngine, Solution, SolveParams, SolveResult, SolveStatus};
+pub use solve::{SolveParams, SolveResult, SolveStatus};

@@ -331,8 +331,9 @@ pub enum Sense {
 /// let c = m.binary("c");
 /// m.set_objective(LinExpr::term(10.0, a) + LinExpr::term(13.0, b) + LinExpr::term(7.0, c));
 /// m.add_le("cap", LinExpr::term(5.0, a) + LinExpr::term(6.0, b) + LinExpr::term(4.0, c), 10.0);
-/// let sol = m.solve(&SolveParams::default()).into_solution().expect("solvable");
-/// assert_eq!(sol.objective().round() as i64, 20);
+/// let result = m.solve(&SolveParams::default());
+/// assert_eq!(result.objective().expect("solvable").round() as i64, 20);
+/// assert_eq!(result.values().expect("solvable")[b.index()].round() as i64, 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]

@@ -5,9 +5,9 @@
 //!
 //! The solver works on an internal standard form: minimize `c·x` subject to
 //! `A x = b` with finite bounds `lo ≤ x ≤ hi` on every variable (slack
-//! columns included — their bounds encode the original sense). Compared to
-//! the dense predecessor (kept as [`crate::dense`] for baselines and
-//! cross-checks) this core:
+//! columns included — their bounds encode the original sense). It is the
+//! crate's one LP engine. Compared to its dense predecessor (kept only as
+//! a test oracle) this core:
 //!
 //! - stores the constraint matrix in **CSC** (compressed sparse column)
 //!   form — one flat `(row, value)` stream with column pointers — so

@@ -5,24 +5,26 @@ use std::time::{Duration, Instant};
 
 use crate::cancel::Cancellation;
 use crate::model::{Cmp, Model, Sense, VarKind};
-use crate::simplex::{solve_lp, Basis, LpOutcome, LpProblem, SparseCol};
+use crate::simplex::{solve_lp, Basis, LpOutcome, LpProblem, LpResult, SparseCol};
 
-/// Which simplex engine solves the LP relaxations.
-///
-/// The sparse revised simplex is the production engine; the dense
-/// predecessor is retained as an independently-written baseline for
-/// cross-checks and for the `ilp-bench` speedup measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LpEngine {
-    /// CSC storage, LU + eta-file basis updates, devex pricing, warm
-    /// starts across branch-and-bound nodes.
-    #[default]
-    Sparse,
-    /// Dense m×m basis inverse, Dantzig pricing, cold start per node.
-    Dense,
-}
+/// Per-LP simplex iteration cap; a node LP that exhausts it counts as an
+/// LP failure and voids proof claims.
+const LP_ITER_LIMIT: usize = 50_000;
+/// Absolute integrality tolerance when rounding LP values.
+const INT_TOL: f64 = 1e-6;
+
+/// The node-LP solver branch and bound calls: problem, iteration cap,
+/// deadline, cancellation token and the parent's basis to warm-start from.
+/// Production always passes the sparse [`solve_lp`]; the seam exists so
+/// tests can swap in a reference engine.
+pub(crate) type NodeLp =
+    fn(&LpProblem, usize, Option<Instant>, Option<&Cancellation>, Option<&Basis>) -> LpResult;
 
 /// Knobs for [`Model::solve`].
+///
+/// Everything else is fixed: node LPs run the sparse revised simplex,
+/// child nodes always warm-start from their parent's optimal basis, each
+/// LP is capped at 50,000 iterations, and integrality is judged to 1e-6.
 ///
 /// # Examples
 ///
@@ -43,10 +45,6 @@ pub struct SolveParams {
     pub time_limit: Option<Duration>,
     /// Maximum branch-and-bound nodes to explore.
     pub node_limit: usize,
-    /// Per-LP simplex iteration cap.
-    pub lp_iter_limit: usize,
-    /// Absolute integrality tolerance when rounding LP values.
-    pub int_tol: f64,
     /// Optional known-feasible assignment used as the initial incumbent
     /// (a MIP start); must be feasible for the model — integrality of the
     /// integer variables included — or it is ignored.
@@ -63,11 +61,6 @@ pub struct SolveParams {
     /// node. Expiry behaves exactly like the time limit: the best
     /// incumbent (if any) is returned as [`SolveStatus::Feasible`].
     pub cancel: Cancellation,
-    /// Which simplex engine solves the node LPs.
-    pub lp_engine: LpEngine,
-    /// Whether child nodes warm-start from the parent's optimal basis
-    /// (sparse engine only; the dense baseline always cold-starts).
-    pub warm_start: bool,
 }
 
 impl Default for SolveParams {
@@ -75,14 +68,10 @@ impl Default for SolveParams {
         SolveParams {
             time_limit: Some(Duration::from_secs(30)),
             node_limit: 2_000_000,
-            lp_iter_limit: 50_000,
-            int_tol: 1e-6,
             mip_start: None,
             integral_objective: false,
             branch_priority: Vec::new(),
             cancel: Cancellation::new(),
-            lp_engine: LpEngine::Sparse,
-            warm_start: true,
         }
     }
 }
@@ -172,53 +161,6 @@ impl SolveResult {
     #[must_use]
     pub fn values(&self) -> Option<&[f64]> {
         self.values.as_deref()
-    }
-
-    /// Converts into a [`Solution`] when one exists.
-    #[must_use]
-    pub fn into_solution(self) -> Option<Solution> {
-        match (self.values, self.objective) {
-            (Some(values), Some(objective)) => Some(Solution {
-                values,
-                objective,
-                proven_optimal: self.status == SolveStatus::Optimal,
-            }),
-            _ => None,
-        }
-    }
-}
-
-/// A feasible (possibly optimal) assignment.
-#[derive(Debug, Clone)]
-pub struct Solution {
-    values: Vec<f64>,
-    objective: f64,
-    proven_optimal: bool,
-}
-
-impl Solution {
-    /// Value of one variable.
-    #[must_use]
-    pub fn value(&self, var: crate::model::VarId) -> f64 {
-        self.values[var.index()]
-    }
-
-    /// All variable values, indexed by [`crate::model::VarId::index`].
-    #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Objective value in the model's sense.
-    #[must_use]
-    pub fn objective(&self) -> f64 {
-        self.objective
-    }
-
-    /// Whether optimality was proven.
-    #[must_use]
-    pub fn proven_optimal(&self) -> bool {
-        self.proven_optimal
     }
 }
 
@@ -318,8 +260,13 @@ impl Model {
     /// assert_eq!(m.solve(&SolveParams::default()).status(), SolveStatus::Infeasible);
     /// ```
     #[must_use]
-    #[allow(clippy::too_many_lines)]
     pub fn solve(&self, params: &SolveParams) -> SolveResult {
+        self.branch_and_bound(params, solve_lp)
+    }
+
+    /// [`Model::solve`] with the node-LP solver as a parameter.
+    #[allow(clippy::too_many_lines)]
+    pub(crate) fn branch_and_bound(&self, params: &SolveParams, node_lp: NodeLp) -> SolveResult {
         let start = Instant::now();
         let relax = build_relaxation(self);
         let int_vars: Vec<usize> = (0..self.num_vars())
@@ -334,7 +281,7 @@ impl Model {
             let integral = v.len() == self.num_vars()
                 && int_vars
                     .iter()
-                    .all(|&i| (v[i] - v[i].round()).abs() <= params.int_tol);
+                    .all(|&i| (v[i] - v[i].round()).abs() <= INT_TOL);
             if integral && self.check_feasible(v, 1e-5).is_none() {
                 Some((
                     v.clone(),
@@ -407,26 +354,13 @@ impl Model {
                 touched.push(v);
             }
 
-            let warm = if params.warm_start {
-                node.basis.as_deref()
-            } else {
-                None
-            };
-            let lp = match params.lp_engine {
-                LpEngine::Sparse => solve_lp(
-                    &prob,
-                    params.lp_iter_limit,
-                    lp_deadline,
-                    Some(&params.cancel),
-                    warm,
-                ),
-                LpEngine::Dense => crate::dense::solve_lp_dense(
-                    &prob,
-                    params.lp_iter_limit,
-                    lp_deadline,
-                    Some(&params.cancel),
-                ),
-            };
+            let lp = node_lp(
+                &prob,
+                LP_ITER_LIMIT,
+                lp_deadline,
+                Some(&params.cancel),
+                node.basis.as_deref(),
+            );
             lp_iterations += lp.iterations;
             refactorizations += lp.refactorizations;
 
@@ -464,7 +398,7 @@ impl Model {
                     let mut best_prio = i32::MIN;
                     for &v in &int_vars {
                         let frac = (x[v] - x[v].round()).abs();
-                        if frac <= params.int_tol {
+                        if frac <= INT_TOL {
                             continue;
                         }
                         let prio = params.branch_priority.get(v).copied().unwrap_or(0);
@@ -622,11 +556,11 @@ mod tests {
         );
         let r = solve(&m);
         assert_eq!(r.status(), SolveStatus::Optimal);
-        let s = r.into_solution().unwrap();
-        assert_eq!(s.objective().round() as i64, 20);
-        assert_eq!(s.value(b).round() as i64, 1);
-        assert_eq!(s.value(c).round() as i64, 1);
-        assert_eq!(s.value(a).round() as i64, 0);
+        assert_eq!(r.objective().unwrap().round() as i64, 20);
+        let x = r.values().unwrap();
+        assert_eq!(x[b.index()].round() as i64, 1);
+        assert_eq!(x[c.index()].round() as i64, 1);
+        assert_eq!(x[a.index()].round() as i64, 0);
     }
 
     #[test]
@@ -857,9 +791,8 @@ mod tests {
         m.set_objective(obj);
         m.add_eq("pick", LinExpr::sum(vars.clone()), 1.0);
         let r = solve(&m);
-        let s = r.into_solution().unwrap();
-        assert_eq!(s.objective().round() as i64, 1);
-        assert_eq!(s.value(vars[4]).round() as i64, 1);
+        assert_eq!(r.objective().unwrap().round() as i64, 1);
+        assert_eq!(r.values().unwrap()[vars[4].index()].round() as i64, 1);
     }
 
     #[test]
@@ -906,29 +839,6 @@ mod tests {
         m.add_le("cap", LinExpr::term(1.0, x), 4.0);
         let r = solve(&m);
         assert_eq!(r.objective().unwrap().round() as i64, 108);
-    }
-
-    #[test]
-    fn dense_engine_matches_sparse_end_to_end() {
-        let mut m = Model::maximize();
-        let a = m.binary("a");
-        let b = m.binary("b");
-        let c = m.binary("c");
-        m.set_objective(LinExpr::term(10.0, a) + LinExpr::term(13.0, b) + LinExpr::term(7.0, c));
-        m.add_le(
-            "cap",
-            LinExpr::term(5.0, a) + LinExpr::term(6.0, b) + LinExpr::term(4.0, c),
-            10.0,
-        );
-        for engine in [LpEngine::Sparse, LpEngine::Dense] {
-            let params = SolveParams {
-                lp_engine: engine,
-                ..SolveParams::default()
-            };
-            let r = m.solve(&params);
-            assert_eq!(r.status(), SolveStatus::Optimal, "{engine:?}");
-            assert_eq!(r.objective().unwrap().round() as i64, 20, "{engine:?}");
-        }
     }
 
     #[test]
@@ -985,34 +895,6 @@ mod tests {
         let r = m.solve(&params);
         assert_ne!(r.status(), SolveStatus::Infeasible);
         assert!(!r.lp_failures(), "cancellation is not an LP failure");
-    }
-
-    #[test]
-    fn warm_start_matches_cold_start_over_the_tree() {
-        // Same model solved with and without warm starts must land on the
-        // same optimum (node/iteration counts may differ).
-        let mut m = Model::minimize();
-        let x = m.integer("x", 0.0, 10.0);
-        let y = m.integer("y", 0.0, 10.0);
-        let z = m.integer("z", 0.0, 10.0);
-        m.set_objective(LinExpr::term(3.0, x) + LinExpr::term(4.0, y) + LinExpr::term(2.0, z));
-        m.add_ge("c1", LinExpr::term(2.0, x) + LinExpr::term(1.0, y), 7.0);
-        m.add_ge("c2", LinExpr::term(1.0, x) + LinExpr::term(3.0, z), 9.0);
-        m.add_ge("c3", LinExpr::term(1.0, y) + LinExpr::term(1.0, z), 4.0);
-        let warm = m.solve(&SolveParams::default());
-        let cold = m.solve(&SolveParams {
-            warm_start: false,
-            ..SolveParams::default()
-        });
-        assert_eq!(warm.status(), SolveStatus::Optimal);
-        assert_eq!(cold.status(), SolveStatus::Optimal);
-        assert!((warm.objective().unwrap() - cold.objective().unwrap()).abs() < 1e-6);
-        assert!(
-            warm.lp_iterations() <= cold.lp_iterations(),
-            "warm starts took more iterations ({}) than cold starts ({})",
-            warm.lp_iterations(),
-            cold.lp_iterations()
-        );
     }
 
     #[test]

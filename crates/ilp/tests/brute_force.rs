@@ -2,7 +2,7 @@
 //! enumeration on randomly generated tiny 0-1 programs.
 
 use proptest::prelude::*;
-use troy_ilp::{presolve, Cmp, LinExpr, Model, SolveParams, SolveStatus, VarId};
+use troy_ilp::{Cmp, LinExpr, Model, SolveParams, SolveStatus, VarId};
 
 /// A randomly generated 0-1 program, small enough to brute force.
 #[derive(Debug, Clone)]
@@ -109,28 +109,6 @@ proptest! {
                 // And the reported assignment must actually be feasible.
                 let values = result.values().expect("optimal has values");
                 prop_assert!(model.check_feasible(values, 1e-6).is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn presolve_preserves_the_optimum(t in tiny_ilp()) {
-        let (model, _) = build(&t);
-        let expected = brute_force(&t);
-        let reduced = presolve(&model);
-        if reduced.infeasible {
-            prop_assert!(expected.is_none(),
-                "presolve claimed infeasible but optimum {:?} exists", expected);
-            return Ok(());
-        }
-        let result = reduced.model.solve(&SolveParams::default());
-        match expected {
-            None => prop_assert_eq!(result.status(), SolveStatus::Infeasible),
-            Some(best) => {
-                prop_assert_eq!(result.status(), SolveStatus::Optimal);
-                let got = result.objective().expect("optimal");
-                prop_assert!((got - best as f64).abs() < 1e-6,
-                    "presolved optimum {} vs brute force {}", got, best);
             }
         }
     }

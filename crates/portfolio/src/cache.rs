@@ -250,11 +250,10 @@ impl CachedEntry {
         s
     }
 
-    /// Parses [`CachedEntry::to_json`] output (tolerant of key order).
-    /// `None` on malformed JSON and on any missing or ill-typed field.
+    /// Reads parsed [`CachedEntry::to_json`] output (tolerant of key
+    /// order). `None` on any missing or ill-typed field.
     #[must_use]
-    pub fn from_json(text: &str) -> Option<Self> {
-        let value = Json::parse(text)?;
+    pub fn from_json(value: &Json) -> Option<Self> {
         let Json::Arr(rows) = value.get("assignments")? else {
             return None;
         };
@@ -408,10 +407,13 @@ impl ResultCache {
         let dir = self.dir.as_ref()?;
         let path = dir.join(format!("{key}.json"));
         let text = std::fs::read_to_string(&path).ok()?;
-        let validated = CachedEntry::from_json(&text).and_then(|e| {
-            let r = e.to_result(problem)?;
-            Some((e, r))
-        });
+        let validated = Json::parse(&text)
+            .as_ref()
+            .and_then(CachedEntry::from_json)
+            .and_then(|e| {
+                let r = e.to_result(problem)?;
+                Some((e, r))
+            });
         let Some((entry, result)) = validated else {
             // Move the bad file aside (best effort): subsequent lookups
             // miss cleanly, and the evidence survives for inspection.
@@ -558,7 +560,10 @@ mod tests {
     fn entry_round_trips_through_json() {
         let p = fig5();
         let entry = CachedEntry::from_result(&solved(&p));
-        let back = CachedEntry::from_json(&entry.to_json()).expect("own output parses");
+        let back = Json::parse(&entry.to_json())
+            .as_ref()
+            .and_then(CachedEntry::from_json)
+            .expect("own output parses");
         assert_eq!(entry, back);
         assert_eq!(
             entry.to_json(),
@@ -601,7 +606,13 @@ mod tests {
             "{\"cost\":1}",
             &depth_bomb,
         ] {
-            assert!(CachedEntry::from_json(text).is_none(), "{text:?}");
+            assert!(
+                Json::parse(text)
+                    .as_ref()
+                    .and_then(CachedEntry::from_json)
+                    .is_none(),
+                "{text:?}"
+            );
         }
     }
 

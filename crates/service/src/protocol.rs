@@ -80,9 +80,8 @@ pub struct Request {
     pub deadline: Option<Duration>,
     /// `true` pins the run to the primary rung (no ladder descent).
     pub no_degrade: bool,
-    /// Serialized cache entry (re-rendered JSON object) carried by a
-    /// `put` request.
-    pub entry: Option<String>,
+    /// Cache entry object carried by a `put` request, as parsed.
+    pub entry: Option<Json>,
     /// `true` asks a `probe` hit to embed the raw cache entry in the
     /// response (`entry` field) so the prober can replicate it onward.
     pub want_entry: bool,
@@ -91,10 +90,15 @@ pub struct Request {
 /// Parses one request line. The error string is relayed verbatim to the
 /// client in a `malformed` rejection.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let json = Json::parse(line).ok_or("request is not valid protocol JSON")?;
-    if !matches!(json, Json::Obj(_)) {
+    let mut json = Json::parse(line).ok_or("request is not valid protocol JSON")?;
+    let Json::Obj(fields) = &mut json else {
         return Err("request must be a JSON object".into());
-    }
+    };
+    // A `put`'s entry is the one large field: move it out, don't copy it.
+    let entry = fields
+        .iter()
+        .position(|(k, _)| k == "entry")
+        .map(|i| fields.remove(i).1);
     let id = match json.get("id") {
         Some(Json::Str(s)) => s.clone(),
         Some(Json::Num(n)) => n.to_string(),
@@ -161,14 +165,14 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             Some(Json::Bool(b)) => *b,
             Some(_) => return Err("`no_degrade` must be a boolean".into()),
         },
-        entry: match json.get("entry") {
+        entry: match entry {
             None | Some(Json::Null) => {
                 if cmd == Cmd::Put {
                     return Err("`put` requires an `entry` object".into());
                 }
                 None
             }
-            Some(obj @ Json::Obj(_)) => Some(obj.render()),
+            Some(obj @ Json::Obj(_)) => Some(obj),
             Some(_) => return Err("`entry` must be a JSON object".into()),
         },
         want_entry: match json.get("want_entry") {
@@ -401,16 +405,17 @@ mod tests {
     }
 
     #[test]
-    fn put_requests_carry_a_re_rendered_entry_object() {
-        let r = parse_request(
-            r#"{"id":"p1","cmd":"put","benchmark":"polynom","entry":{"cost":4160,"proven_optimal":true,"timed_out":false,"winner":"exact","num_ops":9,"assignments":[[0,0,0,0]]}}"#,
-        )
+    fn put_requests_carry_the_parsed_entry_object() {
+        let entry_text = r#"{"cost":4160,"proven_optimal":true,"timed_out":false,"winner":"exact","num_ops":9,"assignments":[[0,0,0,0]]}"#;
+        let r = parse_request(&format!(
+            r#"{{"id":"p1","cmd":"put","benchmark":"polynom","entry":{entry_text}}}"#
+        ))
         .expect("well-formed");
         assert_eq!(r.cmd, Cmd::Put);
         let entry = r.entry.expect("entry survives the parse");
-        let back = Json::parse(&entry).expect("re-rendered entry parses");
-        assert_eq!(back.get("cost").and_then(Json::as_u64), Some(4160));
-        assert_eq!(back.get("winner").and_then(Json::as_str), Some("exact"));
+        assert_eq!(Some(&entry), Json::parse(entry_text).as_ref());
+        assert_eq!(entry.get("cost").and_then(Json::as_u64), Some(4160));
+        assert_eq!(entry.get("winner").and_then(Json::as_str), Some("exact"));
 
         let probe =
             parse_request(r#"{"id":"p2","cmd":"probe","benchmark":"polynom","want_entry":true}"#)

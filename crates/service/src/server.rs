@@ -377,7 +377,7 @@ fn handle_probe(request: &Request, shared: &Arc<Shared>) -> Response {
 }
 
 /// Accepts a replicated cache entry from a peer: a `synth`-shaped
-/// request whose `entry` payload is parsed and re-validated against the
+/// request whose `entry` object is read and re-validated against the
 /// rebuilt problem — the exact certified-store gate the cache's own
 /// lookup path enforces (valid design, matching cost) — and stored on
 /// success. An entry that fails the gate is rejected `bad_request` and
@@ -392,7 +392,7 @@ fn handle_put(request: &Request, shared: &Arc<Shared>) -> Response {
             return Response::reject(Some(&request.id), RejectKind::BadRequest, msg);
         }
     };
-    let Some(entry) = request.entry.as_deref().and_then(CachedEntry::from_json) else {
+    let Some(entry) = request.entry.as_ref().and_then(CachedEntry::from_json) else {
         return Response::reject(
             Some(&request.id),
             RejectKind::BadRequest,

@@ -16,31 +16,6 @@ fn options(secs: u64) -> SolveOptions {
 }
 
 #[test]
-fn figure5_motivational_optimum_is_4160_for_exact_and_ilp() {
-    let p = SynthesisProblem::builder(benchmarks::polynom(), Catalog::table1())
-        .mode(Mode::DetectionRecovery)
-        .detection_latency(4)
-        .recovery_latency(3)
-        .area_limit(22_000)
-        .build()
-        .expect("valid");
-    let e = ExactSolver::new()
-        .synthesize(&p, &options(60))
-        .expect("feasible");
-    assert_eq!(e.cost, 4160);
-    assert!(e.proven_optimal);
-
-    let i = IlpSolver::new()
-        .synthesize(&p, &options(120))
-        .expect("feasible");
-    assert!(validate(&p, &i.implementation).is_empty());
-    assert_eq!(
-        i.cost, 4160,
-        "paper's ILP formulation finds the optimum too"
-    );
-}
-
-#[test]
 fn ilp_and_exact_agree_on_polynom_detection_only() {
     let p = SynthesisProblem::builder(benchmarks::polynom(), Catalog::table1())
         .mode(Mode::DetectionOnly)
