@@ -37,8 +37,8 @@ use std::collections::BTreeSet;
 
 use troy_dfg::{Fnv1a, NodeId};
 use troyhls::{
-    cone_vendors, diversity_constraints, output_cones, validate, Implementation, Mode, OpCopy,
-    OutputCone, Role, SynthesisProblem, VendorId,
+    cone_vendors, diversity_constraints, validate, Implementation, Mode, OpCopy, OutputCone, Role,
+    SynthesisProblem, VendorId,
 };
 
 use crate::certificate::SecurityCertificate;
@@ -102,13 +102,13 @@ fn witness_cone(cones: &[OutputCone], op: NodeId) -> NodeId {
 #[must_use]
 pub fn cone_findings(problem: &SynthesisProblem, imp: &Implementation) -> Vec<Diagnostic> {
     let dfg = problem.dfg();
-    let cones = output_cones(dfg);
+    let cones = problem.output_cones();
     let mut out = Vec::new();
 
     // TQ004 — single vendor controls both detection copies of a cone
     // member. Deduplicated across overlapping cones by op.
     let mut flagged: BTreeSet<usize> = BTreeSet::new();
-    for cone in &cones {
+    for cone in cones {
         for &op in &cone.members {
             if flagged.contains(&op.index()) {
                 continue;
@@ -140,9 +140,10 @@ pub fn cone_findings(problem: &SynthesisProblem, imp: &Implementation) -> Vec<Di
     // is needed; the witness names the first cone containing the pair.
     for role in Role::for_mode(problem.mode()) {
         let interactions = dfg.edges().map(|(a, b)| (a, b, "feeds")).chain(
-            dfg.sibling_pairs()
-                .into_iter()
-                .map(|(a, b)| (a, b, "joins")),
+            problem
+                .sibling_pairs()
+                .iter()
+                .map(|&(a, b)| (a, b, "joins")),
         );
         for (a, b, how) in interactions {
             let (Some(xa), Some(xb)) = (imp.assignment(a, *role), imp.assignment(b, *role)) else {
@@ -159,7 +160,7 @@ pub fn cone_findings(problem: &SynthesisProblem, imp: &Implementation) -> Vec<Di
                      marker between its own units triggers untestable payloads",
                     xa.vendor,
                     OpCopy::new(a, *role),
-                    witness_cone(&cones, b),
+                    witness_cone(cones, b),
                 ),
             )
             .at(Location::copy(copy).at_cycle(xb.cycle).on_vendor(xb.vendor));
@@ -169,7 +170,7 @@ pub fn cone_findings(problem: &SynthesisProblem, imp: &Implementation) -> Vec<Di
 
     // TQ006 — a vendor pair jointly controls every detection position
     // of a cone.
-    for cone in &cones {
+    for cone in cones {
         let (Some(nc), Some(rc)) = (
             cone_vendors(imp, cone, Role::Nc),
             cone_vendors(imp, cone, Role::Rc),
@@ -200,7 +201,7 @@ pub fn cone_findings(problem: &SynthesisProblem, imp: &Implementation) -> Vec<Di
     // TQ007 — recovery mode: a detection vendor of the cone recurs in
     // its recovery copy.
     if problem.mode() == Mode::DetectionRecovery {
-        for cone in &cones {
+        for cone in cones {
             let (Some(nc), Some(rc), Some(rec)) = (
                 cone_vendors(imp, cone, Role::Nc),
                 cone_vendors(imp, cone, Role::Rc),
@@ -267,7 +268,7 @@ pub fn certify(
     }
 
     let dfg = problem.dfg();
-    let cones = output_cones(dfg);
+    let cones = problem.output_cones();
     let count = |code: Code| findings.iter().filter(|d| d.code == code).count();
 
     let mut h = Fnv1a::new();

@@ -8,7 +8,8 @@
 //!
 //! `--json` records Fig. 5 and all 24 rows of Tables 3 and 4 — cost, the
 //! `proven` flag, u/t/v and the solver's work counters (license subsets
-//! checked, search nodes visited; see `ExactSolver::synthesize_counted`)
+//! checked, search nodes visited, license-lattice entries materialized;
+//! see `ExactSolver::synthesize_counted`)
 //! — in `BENCH_tables.json` at the repo root. Each row is solved by the
 //! exact solver under [`harness_options`], whose node limit is the only
 //! budget that binds: every row solves in well under a millisecond
@@ -160,9 +161,9 @@ fn render_record() -> String {
         }
     }
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": 2,\n");
+    out.push_str("{\n  \"schema\": 3,\n");
     out.push_str(
-        "  \"note\": \"exact solver under harness_options; every field is deterministic and gated for equality; subsets/nodes are the solver's work counters\",\n",
+        "  \"note\": \"exact solver under harness_options; every field is deterministic and gated for equality; subsets/nodes/choices are the solver's work counters\",\n",
     );
     out.push_str("  \"rows\": [\n");
     for (i, line) in lines.iter().enumerate() {
@@ -177,12 +178,16 @@ fn render_record() -> String {
 /// without a design records `null` cost and u/t/v.
 fn record_line(name: &str, problem: &SynthesisProblem) -> String {
     let (result, work) = ExactSolver::new().synthesize_counted(problem, &harness_options());
-    let ExactWork { subsets, nodes } = work;
+    let ExactWork {
+        subsets,
+        nodes,
+        choices,
+    } = work;
     match result {
         Ok(s) => {
             let stats = s.implementation.stats(problem);
             format!(
-                "{{ \"name\": \"{name}\", \"cost\": {}, \"proven\": {}, \"u\": {}, \"t\": {}, \"v\": {}, \"subsets\": {subsets}, \"nodes\": {nodes} }}",
+                "{{ \"name\": \"{name}\", \"cost\": {}, \"proven\": {}, \"u\": {}, \"t\": {}, \"v\": {}, \"subsets\": {subsets}, \"nodes\": {nodes}, \"choices\": {choices} }}",
                 stats.license_cost,
                 s.proven_optimal,
                 stats.instances_used,
@@ -191,7 +196,7 @@ fn record_line(name: &str, problem: &SynthesisProblem) -> String {
             )
         }
         Err(_) => format!(
-            "{{ \"name\": \"{name}\", \"cost\": null, \"proven\": false, \"u\": null, \"t\": null, \"v\": null, \"subsets\": {subsets}, \"nodes\": {nodes} }}"
+            "{{ \"name\": \"{name}\", \"cost\": null, \"proven\": false, \"u\": null, \"t\": null, \"v\": null, \"subsets\": {subsets}, \"nodes\": {nodes}, \"choices\": {choices} }}"
         ),
     }
 }

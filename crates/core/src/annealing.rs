@@ -18,7 +18,7 @@ use std::time::Instant;
 use troy_dfg::ScheduleWindows;
 
 use crate::implementation::{Assignment, Implementation};
-use crate::problem::{Mode, SynthesisProblem};
+use crate::problem::SynthesisProblem;
 use crate::rules::Role;
 use crate::solver::{SolveOptions, Synthesis, SynthesisError, Synthesizer};
 use crate::validate::validate;
@@ -96,8 +96,8 @@ const PENALTY: f64 = 50_000.0;
 
 struct Walker<'a> {
     problem: &'a SynthesisProblem,
-    windows_det: ScheduleWindows,
-    windows_rec: Option<ScheduleWindows>,
+    windows_det: &'a ScheduleWindows,
+    windows_rec: Option<&'a ScheduleWindows>,
     rng: u64,
 }
 
@@ -130,7 +130,7 @@ impl Walker<'_> {
                 let (lo, hi) = match role {
                     Role::Nc | Role::Rc => (self.windows_det.asap(op), self.windows_det.alap(op)),
                     Role::Recovery => {
-                        let w = self.windows_rec.as_ref().expect("recovery mode");
+                        let w = self.windows_rec.expect("recovery mode");
                         (det + w.asap(op), det + w.alap(op))
                     }
                 };
@@ -163,7 +163,7 @@ impl Walker<'_> {
             let (lo, hi) = match role {
                 Role::Nc | Role::Rc => (self.windows_det.asap(op), self.windows_det.alap(op)),
                 Role::Recovery => {
-                    let w = self.windows_rec.as_ref().expect("recovery mode");
+                    let w = self.windows_rec.expect("recovery mode");
                     (det + w.asap(op), det + w.alap(op))
                 }
             };
@@ -196,11 +196,8 @@ impl Synthesizer for AnnealingSolver {
         options: &SolveOptions,
     ) -> Result<Synthesis, SynthesisError> {
         let start = Instant::now();
-        let dfg = problem.dfg();
-        let windows_det =
-            ScheduleWindows::compute(dfg, problem.detection_latency()).expect("problem validated");
-        let windows_rec = (problem.mode() == Mode::DetectionRecovery)
-            .then(|| ScheduleWindows::compute(dfg, problem.recovery_latency()).expect("validated"));
+        let windows_det = problem.detection_windows();
+        let windows_rec = problem.recovery_windows();
         let mut walker = Walker {
             problem,
             windows_det,
@@ -263,6 +260,7 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::exact::ExactSolver;
+    use crate::problem::Mode;
     use troy_dfg::benchmarks;
 
     fn problem(mode: Mode) -> SynthesisProblem {

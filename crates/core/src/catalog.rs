@@ -10,6 +10,11 @@ use std::fmt;
 
 use troy_dfg::IpTypeId;
 
+/// Most vendors a catalog may hold for synthesis: the solvers keep one
+/// bit per vendor in a 64-bit mask, so [`crate::ProblemBuilder::build`]
+/// rejects larger catalogs.
+pub const MAX_VENDORS: usize = 64;
+
 /// Identifier of an IP vendor (the paper's index `k`).
 ///
 /// # Examples

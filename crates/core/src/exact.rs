@@ -22,11 +22,11 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::time::Instant;
 
-use troy_dfg::{IpTypeId, NodeId, ScheduleWindows};
+use troy_dfg::{IpTypeId, NodeId};
 
 use crate::catalog::{Catalog, License, VendorId};
 use crate::implementation::{Assignment, Implementation};
-use crate::problem::{Mode, SynthesisProblem};
+use crate::problem::SynthesisProblem;
 use crate::rules::{diversity_constraints, min_vendors_per_type, OpCopy, Role};
 use crate::solver::{SolveOptions, Synthesis, SynthesisError, Synthesizer};
 
@@ -94,6 +94,10 @@ pub struct ExactWork {
     /// Search nodes visited: every descent's nodes plus the vendor
     /// coloring pre-check's.
     pub nodes: usize,
+    /// License-lattice entries materialized: the per-type vendor subsets
+    /// the walk's frontier reached, plus those that share a cost band
+    /// with them.
+    pub choices: usize,
 }
 
 impl Synthesizer for ExactSolver {
@@ -118,60 +122,39 @@ fn solve(
 ) -> Result<Synthesis, SynthesisError> {
     let start = Instant::now();
     let ctx = SearchContext::new(problem);
-    let min_vendors: Vec<(IpTypeId, usize)> = min_vendors_per_type(problem);
+    let catalog = problem.catalog();
 
     // Feasibility depends only on the *per-type vendor sets*, and the
-    // objective is additive across types. Enumerate, per needed type,
-    // every vendor subset meeting the minimum-diversity bound as a bitmask,
-    // sorted by cost; then merge the per-type lists in global cost order
-    // with a heap over index tuples.
-    let catalog = problem.catalog();
-    let mut lists: Vec<Vec<TypeChoice>> = Vec::with_capacity(min_vendors.len());
-    for &(ip_type, need) in &min_vendors {
-        // Bit i of a mask stands for the i-th vendor of `vendors_for`.
-        let offers: Vec<(u64, u64)> = catalog
-            .vendors_for(ip_type)
-            .map(|v| {
-                let off = catalog.offering(v, ip_type).expect("listed vendor");
-                (off.cost, off.area)
-            })
-            .collect();
-        if offers.len() < need {
+    // objective is additive across types. Each needed type's vendor
+    // subsets meeting the minimum-diversity bound form a list sorted by
+    // cost, materialized lazily; the per-type lists are merged in global
+    // cost order with a heap over index tuples.
+    let mut lattices: Vec<TypeLattice> = Vec::new();
+    for (ip_type, need) in min_vendors_per_type(problem) {
+        let lattice = TypeLattice::new(catalog, ip_type, need);
+        if lattice.offers.len() < need {
             return Err(SynthesisError::Infeasible);
         }
-        // (cost, min area) of every mask, each from the mask without its
-        // lowest bit.
-        let mut sums = vec![(0u64, u64::MAX); 1 << offers.len()];
-        let mut choices = Vec::new();
-        for mask in 1u32..(1 << offers.len()) {
-            let (cost, area) = offers[mask.trailing_zeros() as usize];
-            let (rest_cost, rest_area) = sums[(mask & (mask - 1)) as usize];
-            let (cost, min_area) = (rest_cost + cost, rest_area.min(area));
-            sums[mask as usize] = (cost, min_area);
-            if mask.count_ones() as usize >= need {
-                choices.push(TypeChoice {
-                    cost,
-                    min_area,
-                    mask,
-                    ip_type,
-                });
-            }
-        }
-        choices.sort_by_key(|c| c.cost);
-        lists.push(choices);
+        lattices.push(lattice);
     }
+    // The walk reads rank `i` of a type only after rank `i - 1`.
+    let choice = |lattices: &mut [TypeLattice], d: usize, rank: u32, work: &mut ExactWork| {
+        lattices[d]
+            .get(rank as usize, work, || options.out_of_time(start))
+            .map_err(|TimedOut| SynthesisError::BudgetExhausted)
+    };
 
-    let dims = lists.len();
+    let dims = lattices.len();
     let mut heap: BinaryHeap<Reverse<(u64, LatticeIndex)>> = BinaryHeap::new();
     let mut seen: HashSet<LatticeIndex> = HashSet::new();
     let root: LatticeIndex = [0; IpTypeId::COUNT];
-    let cost_of = |idx: &LatticeIndex| -> u64 {
-        idx.iter()
-            .zip(&lists)
-            .map(|(&i, l)| l[usize::from(i)].cost)
-            .sum()
-    };
-    heap.push(Reverse((cost_of(&root), root)));
+    let mut root_cost = 0;
+    for d in 0..dims {
+        root_cost += choice(&mut lattices, d, 0, work)?
+            .expect("a type with enough offers has a cheapest subset")
+            .cost;
+    }
+    heap.push(Reverse((root_cost, root)));
     seen.insert(root);
     let mut uncertain = false;
 
@@ -181,27 +164,33 @@ fn solve(
         }
         // Expand neighbors (increment one coordinate each).
         for d in 0..dims {
-            if usize::from(idx[d]) + 1 < lists[d].len() {
-                let mut child = idx;
-                child[d] += 1;
-                if seen.insert(child) {
-                    heap.push(Reverse((cost_of(&child), child)));
-                }
+            let Some(next) = choice(&mut lattices, d, idx[d] + 1, work)? else {
+                continue;
+            };
+            let mut child = idx;
+            child[d] += 1;
+            if seen.insert(child) {
+                let here = lattices[d].choices[idx[d] as usize].cost;
+                heap.push(Reverse((cost - here + next.cost, child)));
             }
         }
 
         // Area lower bound: any schedule instantiates at least
         // `min_instances[t]` cores of each type, each no smaller than
         // the subset's cheapest-area offering.
-        let choices = || idx.iter().zip(&lists).map(|(&i, l)| l[usize::from(i)]);
+        let choices = || {
+            idx.iter()
+                .zip(&lattices)
+                .map(|(&i, l)| (l, l.choices[i as usize]))
+        };
         let area_lb: u64 = choices()
-            .map(|c| c.min_area * ctx.min_instances[c.ip_type.index()] as u64)
+            .map(|(_, c)| c.min_area * ctx.min_instances[c.ip_type.index()] as u64)
             .sum();
         if area_lb > problem.area_limit() {
             continue;
         }
 
-        let licensed: Vec<License> = choices().flat_map(|c| c.licenses(catalog)).collect();
+        let licensed: Vec<License> = choices().flat_map(|(l, c)| l.licenses(c)).collect();
         match ctx.feasible(problem, &licensed, options.node_limit, start, options, work) {
             Feasibility::Feasible(imp) => {
                 debug_assert_eq!(imp.license_cost(problem), cost);
@@ -262,32 +251,187 @@ impl<'a> FeasibilityChecker<'a> {
 }
 
 /// One candidate vendor subset for a single IP type.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TypeChoice {
     cost: u64,
     min_area: u64,
     /// Bit `i` set: the `i`-th vendor of [`Catalog::vendors_for`] is bought.
-    mask: u32,
+    mask: u64,
     ip_type: IpTypeId,
 }
 
-impl TypeChoice {
-    /// The licenses this choice buys, in vendor index order.
-    fn licenses(self, catalog: &Catalog) -> impl Iterator<Item = License> + '_ {
-        catalog
-            .vendors_for(self.ip_type)
+/// One vendor's offering of a lattice's type.
+#[derive(Debug, Clone, Copy)]
+struct Offer {
+    cost: u64,
+    area: u64,
+    /// The vendor's bit in [`TypeChoice::mask`].
+    bit: u32,
+}
+
+/// The deadline passed while a lattice was being materialized.
+struct TimedOut;
+
+/// The vendor subsets of one IP type that meet its diversity bound, in
+/// `(cost, mask)` order — what a stable sort by cost over ascending masks
+/// gives — materialized only as far as the walk reads.
+///
+/// `choices` always holds every subset costing less than `covered`,
+/// sorted, so its ranks are final. Reading past them raises `covered`
+/// by a step that doubles each time and appends the subsets of the new
+/// cost band, found by a depth-first search over the vendors in cost
+/// order that prunes every branch whose cheapest completion is past the
+/// band.
+#[derive(Debug)]
+struct TypeLattice {
+    ip_type: IpTypeId,
+    need: usize,
+    /// The vendors selling the type, in [`Catalog::vendors_for`] order.
+    vendors: Vec<VendorId>,
+    /// Their offers, cheapest first (ties by bit).
+    offers: Vec<Offer>,
+    /// `prefix[i]`: the total cost of `offers[..i]`.
+    prefix: Vec<u64>,
+    choices: Vec<TypeChoice>,
+    /// Every subset costing less than this is in `choices`.
+    covered: u64,
+    step: u64,
+}
+
+impl TypeLattice {
+    fn new(catalog: &Catalog, ip_type: IpTypeId, need: usize) -> Self {
+        let vendors: Vec<VendorId> = catalog.vendors_for(ip_type).collect();
+        let mut offers: Vec<Offer> = vendors
+            .iter()
             .enumerate()
-            .filter(move |&(i, _)| self.mask & (1 << i) != 0)
-            .map(move |(_, vendor)| License {
+            .map(|(bit, &v)| {
+                let off = catalog.offering(v, ip_type).expect("listed vendor");
+                Offer {
+                    cost: off.cost,
+                    area: off.area,
+                    bit: bit as u32,
+                }
+            })
+            .collect();
+        offers.sort_by_key(|o| (o.cost, o.bit));
+        let prefix = std::iter::once(0)
+            .chain(offers.iter().scan(0, |sum, o| {
+                *sum += o.cost;
+                Some(*sum)
+            }))
+            .collect();
+        // A first band an eighth of the cheapest offer wide: a few
+        // single-vendor swaps away from the cheapest subset.
+        let step = offers.first().map_or(1, |o| (o.cost / 8).max(1));
+        TypeLattice {
+            ip_type,
+            need,
+            vendors,
+            offers,
+            prefix,
+            choices: Vec::new(),
+            covered: 0,
+            step,
+        }
+    }
+
+    /// The choice at `rank`, or `None` past the last one. Materializes
+    /// cost bands until `rank` is covered, counting each entry into
+    /// `work.choices` and polling `out_of_time` as it searches.
+    fn get(
+        &mut self,
+        rank: usize,
+        work: &mut ExactWork,
+        out_of_time: impl Fn() -> bool,
+    ) -> Result<Option<TypeChoice>, TimedOut> {
+        // The dearest subset buys every vendor.
+        let total = self.prefix[self.offers.len()];
+        while rank >= self.choices.len() && self.covered <= total && self.offers.len() >= self.need
+        {
+            // The first band starts at the cheapest subset's cost.
+            let floor = self.covered.max(self.prefix[self.need.max(1)]);
+            let upto = floor.saturating_add(self.step);
+            self.step = self.step.saturating_mul(2);
+            let before = self.choices.len();
+            let mut visits = 0usize;
+            self.collect(
+                0,
+                (0, 0, u64::MAX, 0),
+                (self.covered, upto),
+                &mut visits,
+                &out_of_time,
+            )?;
+            self.choices[before..].sort_unstable_by_key(|c| (c.cost, c.mask));
+            work.choices += self.choices.len() - before;
+            self.covered = upto;
+        }
+        Ok(self.choices.get(rank).copied())
+    }
+
+    /// Pushes every subset extending `(mask, cost, min_area, count)` by
+    /// offers from `from` on whose cost lies in `band` (`lo..hi`) and
+    /// that has at least `need` vendors.
+    fn collect(
+        &mut self,
+        from: usize,
+        (mask, cost, min_area, count): (u64, u64, u64, usize),
+        band: (u64, u64),
+        visits: &mut usize,
+        out_of_time: &impl Fn() -> bool,
+    ) -> Result<(), TimedOut> {
+        let (lo, hi) = band;
+        let k = self.offers.len();
+        for j in from..k {
+            *visits += 1;
+            if *visits % 1024 == 0 && out_of_time() {
+                return Err(TimedOut);
+            }
+            // The cheapest subset through offer `j` adds the next
+            // `more` offers; sliding `j` right only makes it dearer.
+            let more = self.need.saturating_sub(count + 1);
+            if j + 1 + more > k {
+                break;
+            }
+            let with = cost + self.offers[j].cost;
+            if with + (self.prefix[j + 1 + more] - self.prefix[j + 1]) >= hi {
+                break;
+            }
+            let offer = self.offers[j];
+            let next = (
+                mask | 1 << offer.bit,
+                with,
+                min_area.min(offer.area),
+                count + 1,
+            );
+            if more == 0 && with >= lo {
+                self.choices.push(TypeChoice {
+                    cost: with,
+                    min_area: next.2,
+                    mask: next.0,
+                    ip_type: self.ip_type,
+                });
+            }
+            self.collect(j + 1, next, band, visits, out_of_time)?;
+        }
+        Ok(())
+    }
+
+    /// The licenses `choice` buys, in vendor index order.
+    fn licenses(&self, choice: TypeChoice) -> impl Iterator<Item = License> + '_ {
+        self.vendors
+            .iter()
+            .enumerate()
+            .filter(move |&(i, _)| choice.mask & (1 << i) != 0)
+            .map(move |(_, &vendor)| License {
                 vendor,
                 ip_type: self.ip_type,
             })
     }
 }
 
-/// A point of the license lattice: one index per needed type into its
-/// cost-sorted [`TypeChoice`] list (unused trailing slots stay 0).
-type LatticeIndex = [u16; IpTypeId::COUNT];
+/// A point of the license lattice: one rank per needed type into its
+/// [`TypeLattice`] (unused trailing slots stay 0).
+type LatticeIndex = [u32; IpTypeId::COUNT];
 
 enum Feasibility {
     Feasible(Implementation),
@@ -331,6 +475,11 @@ struct SearchContext {
     needed_types: Vec<IpTypeId>,
     /// Minimum total instances per type over the whole design (area prune).
     min_instances: [usize; IpTypeId::COUNT],
+    /// `area[v * IpTypeId::COUNT + t]`: the area of vendor `v`'s core of
+    /// type `t`, `u64::MAX` where it sells none.
+    area: Vec<u64>,
+    /// Cycles in the whole schedule.
+    total_cycles: usize,
 }
 
 impl SearchContext {
@@ -338,20 +487,17 @@ impl SearchContext {
         let dfg = problem.dfg();
         let n = dfg.len();
         let det = problem.detection_latency();
-        let rec = problem.recovery_latency();
         let roles = Role::for_mode(problem.mode());
 
-        let det_windows = ScheduleWindows::compute(dfg, det).expect("problem validated latency");
-        let rec_windows = (problem.mode() == Mode::DetectionRecovery)
-            .then(|| ScheduleWindows::compute(dfg, rec).expect("validated latency"));
+        let det_windows = problem.detection_windows();
+        let rec_windows = problem.recovery_windows();
 
         // All copies of one op are assigned back-to-back: the recovery
         // rebind rule (R must avoid both detection vendors of its op) then
         // fails immediately next to the detection choices that caused it,
         // instead of deep below them in the chronological stack.
         let mut order = Vec::with_capacity(n * roles.len());
-        let topo = dfg.topo_order();
-        for &op in &topo {
+        for &op in problem.topo_order() {
             order.push(OpCopy::new(op, Role::Nc));
             order.push(OpCopy::new(op, Role::Rc));
             if rec_windows.is_some() {
@@ -379,7 +525,7 @@ impl SearchContext {
                 window[cidx(n, c)] = match role {
                     Role::Nc | Role::Rc => (det_windows.asap(op), det_windows.alap(op)),
                     Role::Recovery => {
-                        let w = rec_windows.as_ref().expect("recovery windows exist");
+                        let w = rec_windows.expect("recovery windows exist");
                         (det + w.asap(op), det + w.alap(op))
                     }
                 };
@@ -401,10 +547,19 @@ impl SearchContext {
         let mut min_instances = [0usize; IpTypeId::COUNT];
         for &t in &needed_types {
             let det_need = det_windows.interval_bound(dfg, t, 2);
-            let rec_need = rec_windows
-                .as_ref()
-                .map_or(0, |w| w.interval_bound(dfg, t, 1));
+            let rec_need = rec_windows.map_or(0, |w| w.interval_bound(dfg, t, 1));
             min_instances[t.index()] = det_need.max(rec_need);
+        }
+
+        let catalog = problem.catalog();
+        let num_vendors = catalog.num_vendors();
+        let mut area = vec![u64::MAX; num_vendors * IpTypeId::COUNT];
+        for v in catalog.vendors() {
+            for t in IpTypeId::all() {
+                if let Some(o) = catalog.offering(v, t) {
+                    area[v.index() * IpTypeId::COUNT + t.index()] = o.area;
+                }
+            }
         }
 
         SearchContext {
@@ -416,7 +571,14 @@ impl SearchContext {
             op_type,
             needed_types,
             min_instances,
+            area,
+            total_cycles: problem.total_latency(),
         }
+    }
+
+    /// Area of one core of `(v, t)`, `u64::MAX` if `v` sells none.
+    fn area_of(&self, v: VendorId, t: IpTypeId) -> u64 {
+        self.area[v.index() * IpTypeId::COUNT + t.index()]
     }
 
     /// Feasibility check for one license subset. The attempts, in order:
@@ -441,7 +603,7 @@ impl SearchContext {
         work: &mut ExactWork,
     ) -> Feasibility {
         work.subsets += 1;
-        let Some((vendors_of_type, min_area)) = self.subset(problem, licensed) else {
+        let Some((vendors_of_type, min_area)) = self.subset(licensed) else {
             return Feasibility::Infeasible;
         };
 
@@ -480,7 +642,7 @@ impl SearchContext {
         for (attempt, &(budget, seed, pin)) in schedule.iter().enumerate() {
             let exhaustive = attempt + 1 == schedule.len();
             let r = self.descend(
-                problem,
+                problem.area_limit(),
                 &mut state,
                 &vendors_of_type,
                 &min_area,
@@ -510,11 +672,7 @@ impl SearchContext {
     /// The licensed vendors per type and the cheapest instantiable area per
     /// type (for the in-search bound); `None` if a needed type has no
     /// licensed vendor.
-    fn subset(
-        &self,
-        problem: &SynthesisProblem,
-        licensed: &[License],
-    ) -> Option<(Vec<Vec<VendorId>>, [u64; IpTypeId::COUNT])> {
+    fn subset(&self, licensed: &[License]) -> Option<(Vec<Vec<VendorId>>, [u64; IpTypeId::COUNT])> {
         let mut vendors_of_type: Vec<Vec<VendorId>> = vec![Vec::new(); IpTypeId::COUNT];
         for l in licensed {
             vendors_of_type[l.ip_type.index()].push(l.vendor);
@@ -525,11 +683,7 @@ impl SearchContext {
                 return None;
             }
             for &v in &vendors_of_type[t.index()] {
-                let a = problem
-                    .catalog()
-                    .offering(v, t)
-                    .map_or(u64::MAX, |o| o.area);
-                min_area[t.index()] = min_area[t.index()].min(a);
+                min_area[t.index()] = min_area[t.index()].min(self.area_of(v, t));
             }
         }
         Some((vendors_of_type, min_area))
@@ -541,7 +695,7 @@ impl SearchContext {
     #[allow(clippy::too_many_arguments)]
     fn descend(
         &self,
-        problem: &SynthesisProblem,
+        area_limit: u64,
         state: &mut SearchState,
         vendors_of_type: &[Vec<VendorId>],
         min_area: &[u64; IpTypeId::COUNT],
@@ -556,13 +710,11 @@ impl SearchContext {
             state.pin(self, coloring);
         }
         self.search(
-            problem,
+            area_limit,
             vendors_of_type,
             state,
             0,
             budget,
-            problem.catalog().num_vendors(),
-            problem.total_latency(),
             min_area,
             start,
             options,
@@ -671,13 +823,11 @@ impl SearchContext {
     #[allow(clippy::too_many_arguments)]
     fn search(
         &self,
-        problem: &SynthesisProblem,
+        area_limit: u64,
         vendors_of_type: &[Vec<VendorId>],
         state: &mut SearchState,
         depth: usize,
         node_limit: usize,
-        num_vendors: usize,
-        total_cycles: usize,
         min_area: &[u64; IpTypeId::COUNT],
         start: Instant,
         options: &SolveOptions,
@@ -708,12 +858,10 @@ impl SearchContext {
             return SearchResult::Exhausted;
         }
 
-        let area_of = |v: VendorId, t: IpTypeId| -> u64 {
-            problem
-                .catalog()
-                .offering(v, t)
-                .map_or(u64::MAX, |o| o.area)
-        };
+        // The area the copies after this one still force depends only on
+        // whether this copy adds an instance.
+        let rest_if_kept = state.remaining_area_bound(self, t, false, min_area);
+        let rest_if_grown = state.remaining_area_bound(self, t, true, min_area);
 
         // Candidate (cycle, vendor) pairs, cheapest-impact first: prefer
         // slots that reuse an existing instance (zero area growth), then
@@ -725,16 +873,17 @@ impl SearchContext {
             if state.forbid[ci * 64 + v.index()] > 0 {
                 continue;
             }
+            let inst = state.instance_count(v, t);
+            let area = self.area_of(v, t);
             for cycle in lo..=hi {
-                let u = state.usage_at(num_vendors, total_cycles, v, t, cycle);
-                let inst = state.instance_count(num_vendors, v, t);
+                let u = state.usage_at(self.total_cycles, v, t, cycle);
                 let grows = u >= inst;
-                let area_penalty = if grows { area_of(v, t) } else { 0 };
-                if state.area
-                    + area_penalty
-                    + state.remaining_area_bound(self, num_vendors, t, grows, min_area)
-                    > problem.area_limit()
-                {
+                let (area_penalty, rest) = if grows {
+                    (area, rest_if_grown)
+                } else {
+                    (0, rest_if_kept)
+                };
+                if state.area + area_penalty + rest > area_limit {
                     continue;
                 }
                 let jitter = state.rng_below(16);
@@ -747,7 +896,8 @@ impl SearchContext {
 
         for k in base..end {
             let (_, cycle, v) = state.candidates[k];
-            let grew = state.apply(num_vendors, total_cycles, v, t, cycle, area_of);
+            let area = self.area_of(v, t);
+            let grew = state.apply(self.total_cycles, v, t, cycle, area);
             state.assignment[ci] = Some((cycle, v));
             // Forward checking: shrink neighbours' vendor domains; a
             // wiped-out domain makes this value a dead end immediately.
@@ -756,13 +906,11 @@ impl SearchContext {
                 SearchResult::Exhausted
             } else {
                 self.search(
-                    problem,
+                    area_limit,
                     vendors_of_type,
                     state,
                     depth + 1,
                     node_limit,
-                    num_vendors,
-                    total_cycles,
                     min_area,
                     start,
                     options,
@@ -772,7 +920,7 @@ impl SearchContext {
                 SearchResult::Exhausted => {
                     state.unforbid_neighbors(self, ci, v);
                     state.assignment[ci] = None;
-                    state.undo(num_vendors, total_cycles, v, t, cycle, grew, area_of);
+                    state.undo(self.total_cycles, v, t, cycle, grew, area);
                 }
                 // Keep the assignment intact on success so the caller can
                 // read the full solution out of `state`.
@@ -945,7 +1093,6 @@ impl SearchState {
     fn remaining_area_bound(
         &self,
         ctx: &SearchContext,
-        _num_vendors: usize,
         assigning_type: IpTypeId,
         grows: bool,
         min_area: &[u64; IpTypeId::COUNT],
@@ -965,25 +1112,17 @@ impl SearchState {
         bound
     }
 
-    fn usage_at(&self, _nv: usize, total: usize, v: VendorId, t: IpTypeId, cycle: usize) -> u16 {
+    fn usage_at(&self, total: usize, v: VendorId, t: IpTypeId, cycle: usize) -> u16 {
         self.usage[(v.index() * IpTypeId::COUNT + t.index()) * (total + 1) + cycle]
     }
 
-    fn instance_count(&self, _nv: usize, v: VendorId, t: IpTypeId) -> u16 {
+    fn instance_count(&self, v: VendorId, t: IpTypeId) -> u16 {
         self.instances[v.index() * IpTypeId::COUNT + t.index()]
     }
 
-    /// Books one op on `(v, t)` at `cycle`; returns whether a new physical
-    /// instance had to be added (area grew).
-    fn apply(
-        &mut self,
-        _nv: usize,
-        total: usize,
-        v: VendorId,
-        t: IpTypeId,
-        cycle: usize,
-        area_of: impl Fn(VendorId, IpTypeId) -> u64,
-    ) -> bool {
+    /// Books one op on `(v, t)` at `cycle`, a core of `area`; returns
+    /// whether a new physical instance had to be added (area grew).
+    fn apply(&mut self, total: usize, v: VendorId, t: IpTypeId, cycle: usize, area: u64) -> bool {
         let ui = (v.index() * IpTypeId::COUNT + t.index()) * (total + 1) + cycle;
         self.usage[ui] += 1;
         self.remaining[t.index()] -= 1;
@@ -991,23 +1130,21 @@ impl SearchState {
         if self.usage[ui] > self.instances[ii] {
             self.instances[ii] += 1;
             self.type_instances[t.index()] += 1;
-            self.area += area_of(v, t);
+            self.area += area;
             true
         } else {
             false
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn undo(
         &mut self,
-        _nv: usize,
         total: usize,
         v: VendorId,
         t: IpTypeId,
         cycle: usize,
         grew: bool,
-        area_of: impl Fn(VendorId, IpTypeId) -> u64,
+        area: u64,
     ) {
         let ui = (v.index() * IpTypeId::COUNT + t.index()) * (total + 1) + cycle;
         self.usage[ui] -= 1;
@@ -1016,7 +1153,7 @@ impl SearchState {
             let ii = v.index() * IpTypeId::COUNT + t.index();
             self.instances[ii] -= 1;
             self.type_instances[t.index()] -= 1;
-            self.area -= area_of(v, t);
+            self.area -= area;
         }
     }
 }
@@ -1032,6 +1169,7 @@ pub fn _internal_cidx_for_tests(n: usize, c: OpCopy) -> usize {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use crate::problem::{Mode, ProblemError};
     use crate::validate::validate;
     use troy_dfg::benchmarks;
 
@@ -1172,7 +1310,7 @@ mod tests {
 
         let ctx = SearchContext::new(&p);
         let licensed: Vec<License> = s.implementation.licenses_used(&p).into_iter().collect();
-        let (vendors_of_type, min_area) = ctx.subset(&p, &licensed).expect("covers every type");
+        let (vendors_of_type, min_area) = ctx.subset(&licensed).expect("covers every type");
         let Coloring::Found(coloring) = ctx.vendor_coloring(
             &vendors_of_type,
             options.node_limit,
@@ -1184,7 +1322,7 @@ mod tests {
         let mut state = SearchState::new(&ctx, &p, &vendors_of_type);
         let mut descend = |budget, seed, pin| {
             ctx.descend(
-                &p,
+                p.area_limit(),
                 &mut state,
                 &vendors_of_type,
                 &min_area,
@@ -1238,5 +1376,111 @@ mod tests {
         let sr = solve(&related).unwrap();
         assert!(sr.cost >= sb.cost);
         assert!(validate(&related, &sr.implementation).is_empty());
+    }
+
+    /// Polynom detection-only over a catalog of `vendors` random vendors.
+    fn many_vendor_problem(vendors: usize, seed: u64) -> Result<SynthesisProblem, ProblemError> {
+        SynthesisProblem::builder(benchmarks::polynom(), Catalog::random(vendors, seed))
+            .mode(Mode::DetectionOnly)
+            .build()
+    }
+
+    #[test]
+    fn forty_vendors_solve_without_materializing_the_lattice() {
+        let options = SolveOptions {
+            time_limit: std::time::Duration::from_secs(20),
+            ..SolveOptions::default()
+        };
+        for seed in 0..3 {
+            let p = many_vendor_problem(40, seed).expect("40 vendors are supported");
+            let (result, work) = ExactSolver::new().synthesize_counted(&p, &options);
+            let s = result.expect("polynom is feasible");
+            assert!(s.proven_optimal, "seed {seed}");
+            let vs = validate(&p, &s.implementation);
+            assert!(vs.is_empty(), "seed {seed}: {vs:?}");
+            let greedy = crate::GreedySolver::new()
+                .synthesize(&p, &options)
+                .expect("greedy finds a design");
+            assert!(s.cost <= greedy.cost, "seed {seed}");
+            // Two types of about 2^40 subsets each; the walk reads a few.
+            assert!(work.choices < 10_000, "seed {seed}: {}", work.choices);
+        }
+    }
+
+    #[test]
+    fn more_than_sixty_four_vendors_is_a_typed_error() {
+        assert!(many_vendor_problem(64, 0).is_ok());
+        assert_eq!(
+            many_vendor_problem(65, 0).unwrap_err(),
+            ProblemError::TooManyVendors { vendors: 65 }
+        );
+    }
+
+    /// The full materialization the lazy lattice replaced, kept as its
+    /// oracle: every mask with at least `need` bits over the vendors of
+    /// [`Catalog::vendors_for`], stably sorted by cost.
+    fn full_lattice(catalog: &Catalog, ip_type: IpTypeId, need: usize) -> Vec<TypeChoice> {
+        let offers: Vec<(u64, u64)> = catalog
+            .vendors_for(ip_type)
+            .map(|v| {
+                let off = catalog.offering(v, ip_type).expect("listed vendor");
+                (off.cost, off.area)
+            })
+            .collect();
+        // (cost, min area) of every mask, each from the mask without its
+        // lowest bit.
+        let mut sums = vec![(0u64, u64::MAX); 1 << offers.len()];
+        let mut choices = Vec::new();
+        for mask in 1u64..(1 << offers.len()) {
+            let (cost, area) = offers[mask.trailing_zeros() as usize];
+            let (rest_cost, rest_area) = sums[(mask & (mask - 1)) as usize];
+            let (cost, min_area) = (rest_cost + cost, rest_area.min(area));
+            sums[mask as usize] = (cost, min_area);
+            if mask.count_ones() as usize >= need {
+                choices.push(TypeChoice {
+                    cost,
+                    min_area,
+                    mask,
+                    ip_type,
+                });
+            }
+        }
+        choices.sort_by_key(|c| c.cost);
+        choices
+    }
+
+    mod lattice {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Offers are `(cost step, area)`: four cost levels force ties.
+            #[test]
+            fn lazy_lattice_yields_the_full_sorted_sequence(
+                offers in proptest::collection::vec((1u64..=4, 1u64..=1_000), 1..=12),
+            ) {
+                let mut catalog = Catalog::new();
+                for (i, &(step, area)) in offers.iter().enumerate() {
+                    catalog.insert(
+                        VendorId::new(i),
+                        IpTypeId::ADDER,
+                        crate::catalog::IpOffering { area, cost: step * 50 },
+                    );
+                }
+                for need in 1..=offers.len() {
+                    let oracle = full_lattice(&catalog, IpTypeId::ADDER, need);
+                    let mut lazy = TypeLattice::new(&catalog, IpTypeId::ADDER, need);
+                    let mut work = ExactWork::default();
+                    let mut got = Vec::new();
+                    while let Ok(Some(c)) = lazy.get(got.len(), &mut work, || false) {
+                        got.push(c);
+                    }
+                    prop_assert_eq!(&got, &oracle, "need {}", need);
+                    prop_assert_eq!(work.choices, oracle.len(), "need {}", need);
+                }
+            }
+        }
     }
 }

@@ -24,12 +24,12 @@
 
 use std::time::Instant;
 
-use troy_dfg::{IpTypeId, NodeId, ScheduleWindows};
+use troy_dfg::{IpTypeId, NodeId};
 use troy_ilp::{LinExpr, Model, SolveParams, SolveStatus, VarId};
 
 use crate::catalog::VendorId;
 use crate::implementation::{Assignment, Implementation};
-use crate::problem::{Mode, SynthesisProblem};
+use crate::problem::SynthesisProblem;
 use crate::rules::{diversity_constraints, OpCopy, Role};
 use crate::solver::{SolveOptions, Synthesis, SynthesisError, Synthesizer};
 
@@ -169,9 +169,8 @@ pub fn formulate(problem: &SynthesisProblem, options: &FormulationOptions) -> Fo
     let total = problem.total_latency();
     let roles = Role::for_mode(problem.mode());
 
-    let det_w = ScheduleWindows::compute(dfg, det).expect("validated");
-    let rec_w = (problem.mode() == Mode::DetectionRecovery)
-        .then(|| ScheduleWindows::compute(dfg, problem.recovery_latency()).expect("validated"));
+    let det_w = problem.detection_windows();
+    let rec_w = problem.recovery_windows();
 
     // Instance cap per type (the paper's |τ(t)|).
     let cap_for = |t: IpTypeId| -> usize {
@@ -192,7 +191,7 @@ pub fn formulate(problem: &SynthesisProblem, options: &FormulationOptions) -> Fo
         match role {
             Role::Nc | Role::Rc => (det_w.asap(op), det_w.alap(op)),
             Role::Recovery => {
-                let w = rec_w.as_ref().expect("recovery mode");
+                let w = rec_w.expect("recovery mode");
                 (det + w.asap(op), det + w.alap(op))
             }
         }
@@ -490,6 +489,7 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::exact::ExactSolver;
+    use crate::problem::Mode;
     use crate::validate::validate;
     use std::time::Duration;
     use troy_dfg::benchmarks;

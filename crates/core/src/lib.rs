@@ -61,7 +61,7 @@ mod solver;
 mod validate;
 
 pub use annealing::{AnnealingConfig, AnnealingSolver};
-pub use catalog::{Catalog, IpOffering, License, VendorId};
+pub use catalog::{Catalog, IpOffering, License, VendorId, MAX_VENDORS};
 pub use cones::{cone_vendors, output_cones, OutputCone};
 pub use exact::{ExactSolver, ExactWork};
 pub use explore::{min_feasible_area, sweep_area, sweep_latency, unprotected_cost, SweepPoint};

@@ -2,10 +2,13 @@
 //! constraints and the protection mode.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use troy_dfg::{Dfg, NodeId};
+use troy_dfg::{Dfg, IpTypeId, NodeId, ScheduleWindows};
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, MAX_VENDORS};
+use crate::cones::{output_cones, OutputCone};
+use crate::rules::{expand_diversity_constraints, DiversityConstraint};
 
 /// Which protection the synthesized design must provide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +55,12 @@ pub enum ProblemError {
     /// A closely-related pair references a node outside the DFG or has
     /// mismatching operation types.
     BadRelatedPair(NodeId, NodeId),
+    /// The catalog has more vendors than the solvers can track
+    /// ([`MAX_VENDORS`]: one bit per vendor in a 64-bit mask).
+    TooManyVendors {
+        /// Vendors in the catalog.
+        vendors: usize,
+    },
 }
 
 impl fmt::Display for ProblemError {
@@ -78,6 +87,10 @@ impl fmt::Display for ProblemError {
             ProblemError::BadRelatedPair(a, b) => {
                 write!(f, "invalid closely-related pair ({a}, {b})")
             }
+            ProblemError::TooManyVendors { vendors } => write!(
+                f,
+                "the catalog has {vendors} vendors; at most {MAX_VENDORS} are supported"
+            ),
         }
     }
 }
@@ -106,24 +119,64 @@ impl std::error::Error for ProblemError {}
 /// assert_eq!(problem.total_latency(), 7);
 /// # Ok::<(), troyhls::ProblemError>(())
 /// ```
-#[derive(Debug, Clone)]
+///
+/// A problem never changes once built, so the structure every solver and
+/// checker derives from it — topological order, schedule windows,
+/// diversity constraints, sibling pairs and output cones — is computed at
+/// most once, on first use, and shared: a clone costs one reference
+/// count and shares all of it (the DFG and the catalog included).
+#[derive(Clone)]
 pub struct SynthesisProblem {
-    dfg: Dfg,
-    catalog: Catalog,
+    inner: Arc<Inner>,
+}
+
+/// The fields of a [`SynthesisProblem`] and the structure derived from
+/// them.
+struct Inner {
+    dfg: Arc<Dfg>,
+    catalog: Arc<Catalog>,
     mode: Mode,
     detection_latency: usize,
     recovery_latency: usize,
     area_limit: u64,
     related_pairs: Vec<(NodeId, NodeId)>,
+    /// The builder needs it for the critical path, so it is kept.
+    topo: Vec<NodeId>,
+    windows: OnceLock<PhaseWindows>,
+    constraints: OnceLock<Vec<DiversityConstraint>>,
+    siblings: OnceLock<Vec<(NodeId, NodeId)>>,
+    cones: OnceLock<Vec<OutputCone>>,
+}
+
+/// Per-phase schedule windows, in phase-local cycles.
+struct PhaseWindows {
+    detection: ScheduleWindows,
+    recovery: Option<ScheduleWindows>,
+}
+
+impl fmt::Debug for SynthesisProblem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = &self.inner;
+        f.debug_struct("SynthesisProblem")
+            .field("dfg", &p.dfg)
+            .field("catalog", &p.catalog)
+            .field("mode", &p.mode)
+            .field("detection_latency", &p.detection_latency)
+            .field("recovery_latency", &p.recovery_latency)
+            .field("area_limit", &p.area_limit)
+            .field("related_pairs", &p.related_pairs)
+            .finish()
+    }
 }
 
 impl SynthesisProblem {
-    /// Starts a builder over a DFG and catalog.
+    /// Starts a builder over a DFG and catalog (owned, or already shared
+    /// behind an [`Arc`]).
     #[must_use]
-    pub fn builder(dfg: Dfg, catalog: Catalog) -> ProblemBuilder {
+    pub fn builder(dfg: impl Into<Arc<Dfg>>, catalog: impl Into<Arc<Catalog>>) -> ProblemBuilder {
         ProblemBuilder {
-            dfg,
-            catalog,
+            dfg: dfg.into(),
+            catalog: catalog.into(),
             mode: Mode::DetectionRecovery,
             detection_latency: None,
             recovery_latency: None,
@@ -132,63 +185,143 @@ impl SynthesisProblem {
         }
     }
 
+    /// A builder preset to this problem, sharing its DFG and catalog: the
+    /// way to derive a variant (say, with relaxed latencies). The variant
+    /// derives its own structure.
+    #[must_use]
+    pub fn to_builder(&self) -> ProblemBuilder {
+        let p = &self.inner;
+        ProblemBuilder {
+            dfg: Arc::clone(&p.dfg),
+            catalog: Arc::clone(&p.catalog),
+            mode: p.mode,
+            detection_latency: Some(p.detection_latency),
+            recovery_latency: Some(p.recovery_latency),
+            area_limit: p.area_limit,
+            related_pairs: p.related_pairs.clone(),
+        }
+    }
+
     /// The function-to-be-implemented.
     #[must_use]
     pub fn dfg(&self) -> &Dfg {
-        &self.dfg
+        &self.inner.dfg
     }
 
     /// The vendor/IP library.
     #[must_use]
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        &self.inner.catalog
     }
 
     /// Protection mode.
     #[must_use]
     pub fn mode(&self) -> Mode {
-        self.mode
+        self.inner.mode
     }
 
     /// Cycles available to the detection phase (NC ∥ RC).
     #[must_use]
     pub fn detection_latency(&self) -> usize {
-        self.detection_latency
+        self.inner.detection_latency
     }
 
     /// Cycles available to the recovery phase (0 in detection-only mode).
     #[must_use]
     pub fn recovery_latency(&self) -> usize {
-        match self.mode {
+        match self.inner.mode {
             Mode::DetectionOnly => 0,
-            Mode::DetectionRecovery => self.recovery_latency,
+            Mode::DetectionRecovery => self.inner.recovery_latency,
         }
     }
 
     /// Total schedule length (the paper's λ: detection plus recovery).
     #[must_use]
     pub fn total_latency(&self) -> usize {
-        self.detection_latency + self.recovery_latency()
+        self.inner.detection_latency + self.recovery_latency()
     }
 
     /// Maximum total silicon area (the paper's `A̅`).
     #[must_use]
     pub fn area_limit(&self) -> u64 {
-        self.area_limit
+        self.inner.area_limit
     }
 
     /// Closely-related operation pairs (Rule 2 for fast recovery).
     #[must_use]
     pub fn related_pairs(&self) -> &[(NodeId, NodeId)] {
-        &self.related_pairs
+        &self.inner.related_pairs
+    }
+
+    /// A topological order of the DFG ([`Dfg::topo_order`]).
+    #[must_use]
+    pub fn topo_order(&self) -> &[NodeId] {
+        &self.inner.topo
+    }
+
+    /// ASAP/ALAP windows of the detection phase, cycles `1..=λ_det`.
+    #[must_use]
+    pub fn detection_windows(&self) -> &ScheduleWindows {
+        &self.windows().detection
+    }
+
+    /// ASAP/ALAP windows of the recovery phase in phase-local cycles
+    /// `1..=λ_rec` (offset by `λ_det` in the global schedule); `None` in
+    /// detection-only mode.
+    #[must_use]
+    pub fn recovery_windows(&self) -> Option<&ScheduleWindows> {
+        self.windows().recovery.as_ref()
+    }
+
+    fn windows(&self) -> &PhaseWindows {
+        self.inner.windows.get_or_init(|| {
+            let compute = |latency| {
+                ScheduleWindows::compute_in(self.dfg(), self.topo_order(), latency)
+                    .expect("the builder checked the latency against the critical path")
+            };
+            PhaseWindows {
+                detection: compute(self.detection_latency()),
+                recovery: (self.mode() == Mode::DetectionRecovery)
+                    .then(|| compute(self.recovery_latency())),
+            }
+        })
+    }
+
+    /// The expanded design rules; read them through
+    /// [`crate::diversity_constraints`].
+    pub(crate) fn constraints(&self) -> &[DiversityConstraint] {
+        self.inner
+            .constraints
+            .get_or_init(|| expand_diversity_constraints(self))
+    }
+
+    /// The DFG's sibling pairs ([`Dfg::sibling_pairs`]).
+    #[must_use]
+    pub fn sibling_pairs(&self) -> &[(NodeId, NodeId)] {
+        self.inner
+            .siblings
+            .get_or_init(|| self.dfg().sibling_pairs())
+    }
+
+    /// The output cone of every sink, in ascending sink order
+    /// ([`crate::output_cones`]).
+    #[must_use]
+    pub fn output_cones(&self) -> &[OutputCone] {
+        self.inner.cones.get_or_init(|| output_cones(self.dfg()))
+    }
+
+    /// The shared state, for tests that check what clones share.
+    #[cfg(test)]
+    fn shared(&self) -> &Arc<Inner> {
+        &self.inner
     }
 }
 
 /// Builder for [`SynthesisProblem`]; see there for an example.
 #[derive(Debug, Clone)]
 pub struct ProblemBuilder {
-    dfg: Dfg,
-    catalog: Catalog,
+    dfg: Arc<Dfg>,
+    catalog: Arc<Catalog>,
     mode: Mode,
     detection_latency: Option<usize>,
     recovery_latency: Option<usize>,
@@ -253,7 +386,13 @@ impl ProblemBuilder {
         if self.dfg.is_empty() {
             return Err(ProblemError::EmptyDfg);
         }
-        let cp = self.dfg.critical_path_len();
+        if self.catalog.num_vendors() > MAX_VENDORS {
+            return Err(ProblemError::TooManyVendors {
+                vendors: self.catalog.num_vendors(),
+            });
+        }
+        let topo = self.dfg.topo_order();
+        let cp = self.dfg.critical_path_len_in(&topo);
         let detection_latency = self.detection_latency.unwrap_or(cp);
         let recovery_latency = self.recovery_latency.unwrap_or(cp);
         if detection_latency < cp {
@@ -268,10 +407,14 @@ impl ProblemBuilder {
                 critical_path: cp,
             });
         }
+        let mut offered = [false; IpTypeId::COUNT];
         for n in self.dfg.node_ids() {
             let t = self.dfg.kind(n).ip_type();
-            if self.catalog.vendors_for(t).next().is_none() {
-                return Err(ProblemError::MissingIpType(t));
+            if !offered[t.index()] {
+                if self.catalog.vendors_for(t).next().is_none() {
+                    return Err(ProblemError::MissingIpType(t));
+                }
+                offered[t.index()] = true;
             }
         }
         for &(a, b) in &self.related_pairs {
@@ -284,13 +427,20 @@ impl ProblemBuilder {
             }
         }
         Ok(SynthesisProblem {
-            dfg: self.dfg,
-            catalog: self.catalog,
-            mode: self.mode,
-            detection_latency,
-            recovery_latency,
-            area_limit: self.area_limit,
-            related_pairs: self.related_pairs,
+            inner: Arc::new(Inner {
+                dfg: self.dfg,
+                catalog: self.catalog,
+                mode: self.mode,
+                detection_latency,
+                recovery_latency,
+                area_limit: self.area_limit,
+                related_pairs: self.related_pairs,
+                topo,
+                windows: OnceLock::new(),
+                constraints: OnceLock::new(),
+                siblings: OnceLock::new(),
+                cones: OnceLock::new(),
+            }),
         })
     }
 }
@@ -424,5 +574,121 @@ mod tests {
         assert_eq!(Mode::DetectionRecovery.to_string(), "detection+recovery");
     }
 
+    #[test]
+    fn more_than_max_vendors_is_rejected() {
+        let err = SynthesisProblem::builder(benchmarks::polynom(), Catalog::random(65, 1))
+            .build()
+            .unwrap_err();
+        assert_eq!(err, ProblemError::TooManyVendors { vendors: 65 });
+        assert!(err.to_string().contains("at most 64"));
+    }
+
     use troy_dfg::Dfg;
+
+    mod shared {
+        use super::*;
+        use crate::rules::expand_diversity_constraints;
+        use proptest::prelude::*;
+        use troy_dfg::{random_dfg, RandomDfgConfig};
+
+        /// A random problem with up to two same-type related pairs.
+        fn problem() -> impl Strategy<Value = SynthesisProblem> {
+            (
+                2usize..=24,
+                1usize..=6,
+                any::<u64>(),
+                0usize..=2,
+                prop_oneof![Just(Mode::DetectionOnly), Just(Mode::DetectionRecovery)],
+            )
+                .prop_map(|(ops, depth, seed, slack, mode)| {
+                    let cfg = RandomDfgConfig {
+                        ops,
+                        max_depth: depth,
+                        mul_ratio_percent: 40,
+                        edge_bias_percent: 70,
+                    };
+                    let dfg = random_dfg(&cfg, seed);
+                    let cp = dfg.critical_path_len();
+                    let ids: Vec<NodeId> = dfg.node_ids().collect();
+                    let pairs: Vec<(NodeId, NodeId)> = ids
+                        .iter()
+                        .flat_map(|&a| ids.iter().map(move |&b| (a, b)))
+                        .filter(|&(a, b)| a < b && dfg.kind(a).ip_type() == dfg.kind(b).ip_type())
+                        .take(2)
+                        .collect();
+                    let mut builder = SynthesisProblem::builder(dfg, Catalog::paper8())
+                        .mode(mode)
+                        .detection_latency(cp + slack)
+                        .recovery_latency(cp + slack);
+                    for (a, b) in pairs {
+                        builder = builder.related_pair(a, b);
+                    }
+                    builder.build().expect("feasible by construction")
+                })
+        }
+
+        /// Sibling pairs by brute force: two parents sharing a child.
+        fn siblings_from_scratch(dfg: &Dfg) -> Vec<(NodeId, NodeId)> {
+            let ids: Vec<NodeId> = dfg.node_ids().collect();
+            let mut out = Vec::new();
+            for &a in &ids {
+                for &b in &ids {
+                    let share_child = dfg.succs(a).iter().any(|c| dfg.succs(b).contains(c));
+                    if a < b && share_child {
+                        out.push((a, b));
+                    }
+                }
+            }
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn shared_structure_equals_a_recomputation(p in problem()) {
+                let dfg = p.dfg();
+                prop_assert_eq!(p.topo_order(), &dfg.topo_order()[..]);
+                let det = ScheduleWindows::compute(dfg, p.detection_latency());
+                prop_assert_eq!(Some(p.detection_windows()), det.as_ref());
+                let rec = (p.mode() == Mode::DetectionRecovery)
+                    .then(|| ScheduleWindows::compute(dfg, p.recovery_latency()).unwrap());
+                prop_assert_eq!(p.recovery_windows(), rec.as_ref());
+                prop_assert_eq!(p.sibling_pairs(), &siblings_from_scratch(dfg)[..]);
+                prop_assert_eq!(p.output_cones(), &output_cones(dfg)[..]);
+                let fresh = p.to_builder().build().unwrap();
+                prop_assert_eq!(
+                    crate::diversity_constraints(&p),
+                    &expand_diversity_constraints(&fresh)[..]
+                );
+            }
+
+            #[test]
+            fn clones_share_and_relaxed_variants_derive_their_own(p in problem()) {
+                let clone = p.clone();
+                prop_assert!(Arc::ptr_eq(p.shared(), clone.shared()));
+                // Derived through one handle, read through the other.
+                let cones = p.output_cones();
+                prop_assert!(std::ptr::eq(cones, clone.output_cones()));
+                prop_assert!(std::ptr::eq(
+                    crate::diversity_constraints(&clone),
+                    crate::diversity_constraints(&p),
+                ));
+
+                let relaxed = p
+                    .to_builder()
+                    .detection_latency(p.detection_latency() + 1)
+                    .recovery_latency(p.recovery_latency() + 1)
+                    .build()
+                    .unwrap();
+                prop_assert!(!Arc::ptr_eq(p.shared(), relaxed.shared()));
+                prop_assert!(Arc::ptr_eq(&p.shared().dfg, &relaxed.shared().dfg));
+                prop_assert!(Arc::ptr_eq(&p.shared().catalog, &relaxed.shared().catalog));
+                prop_assert_eq!(
+                    relaxed.detection_windows().alap(p.topo_order()[0]),
+                    p.detection_windows().alap(p.topo_order()[0]) + 1
+                );
+            }
+        }
+    }
 }

@@ -126,8 +126,11 @@ pub struct DiversityConstraint {
     pub rule: RuleKind,
 }
 
-/// Expands the four design rules into the full pairwise constraint list for
-/// a problem.
+/// The four design rules expanded into the full pairwise constraint list
+/// for a problem.
+///
+/// The list is expanded once per problem, on first use, and shared by
+/// every solver and checker that reads it (and by the problem's clones).
 ///
 /// # Examples
 ///
@@ -147,7 +150,15 @@ pub struct DiversityConstraint {
 /// # Ok::<(), troyhls::ProblemError>(())
 /// ```
 #[must_use]
-pub fn diversity_constraints(problem: &SynthesisProblem) -> Vec<DiversityConstraint> {
+pub fn diversity_constraints(problem: &SynthesisProblem) -> &[DiversityConstraint] {
+    problem.constraints()
+}
+
+/// Expands the rules from scratch, in the order [`diversity_constraints`]
+/// lists them: rule 1 (detection) per op; then per role, parent-child
+/// pairs and sibling pairs; then, in recovery mode, rule 1 (recovery) per
+/// op and rule 2 (recovery) per related pair.
+pub(crate) fn expand_diversity_constraints(problem: &SynthesisProblem) -> Vec<DiversityConstraint> {
     let dfg = problem.dfg();
     let mode = problem.mode();
     let mut out = Vec::new();
@@ -173,7 +184,7 @@ pub fn diversity_constraints(problem: &SynthesisProblem) -> Vec<DiversityConstra
                 rule: RuleKind::DetectionParentChild,
             });
         }
-        for (a, b) in dfg.sibling_pairs() {
+        for &(a, b) in problem.sibling_pairs() {
             out.push(DiversityConstraint {
                 a: OpCopy::new(a, role),
                 b: OpCopy::new(b, role),

@@ -38,15 +38,22 @@ impl ScheduleWindows {
     /// (no feasible schedule exists).
     #[must_use]
     pub fn compute(dfg: &Dfg, latency: usize) -> Option<Self> {
-        if dfg.critical_path_len() > latency {
-            return None;
-        }
-        let order = dfg.topo_order();
+        Self::compute_in(dfg, &dfg.topo_order(), latency)
+    }
+
+    /// [`ScheduleWindows::compute`] along `order`, a topological order of
+    /// `dfg` the caller already holds (see [`Dfg::topo_order`]).
+    #[must_use]
+    pub fn compute_in(dfg: &Dfg, order: &[NodeId], latency: usize) -> Option<Self> {
         let mut asap = vec![1usize; dfg.len()];
-        for &n in &order {
+        for &n in order {
             for &s in dfg.succs(n) {
                 asap[s.index()] = asap[s.index()].max(asap[n.index()] + 1);
             }
+        }
+        // The deepest ASAP level is the critical path.
+        if asap.iter().copied().max().unwrap_or(0) > latency {
+            return None;
         }
         let mut alap = vec![latency; dfg.len()];
         for &n in order.iter().rev() {

@@ -7,7 +7,6 @@
 //! of the design (not produced by another operation) are tracked per node so
 //! a simulator can feed concrete values.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use crate::op::OpKind;
@@ -138,7 +137,7 @@ impl std::error::Error for GraphError {}
 /// assert_eq!(g.sinks().collect::<Vec<_>>(), vec![sum]);
 /// # Ok::<(), troy_dfg::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Dfg {
     name: String,
     nodes: Vec<OpNode>,
@@ -146,7 +145,47 @@ pub struct Dfg {
     succs: Vec<Vec<NodeId>>,
     /// `preds[i]` = parents of node i (producers of its operands).
     preds: Vec<Vec<NodeId>>,
+    /// Buffers of the cycle check in [`Dfg::add_edge`], reused across
+    /// edges; not part of the graph's value.
+    scratch: CycleScratch,
 }
+
+impl fmt::Debug for Dfg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Dfg")
+            .field("name", &self.name)
+            .field("nodes", &self.nodes)
+            .field("succs", &self.succs)
+            .field("preds", &self.preds)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The depth-first search state of [`Dfg::add_edge`]'s cycle check: a
+/// visit stamp per node (a node is seen when its stamp equals `stamp`,
+/// so a new search costs no clearing) and the work stack. Clones start
+/// empty and every pair of scratches compares equal, so the buffers never
+/// show in a graph's value.
+#[derive(Default)]
+struct CycleScratch {
+    seen: Vec<u32>,
+    stamp: u32,
+    stack: Vec<NodeId>,
+}
+
+impl Clone for CycleScratch {
+    fn clone(&self) -> Self {
+        CycleScratch::default()
+    }
+}
+
+impl PartialEq for CycleScratch {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for CycleScratch {}
 
 impl Dfg {
     /// Creates an empty graph with the given name.
@@ -157,6 +196,7 @@ impl Dfg {
             nodes: Vec::new(),
             succs: Vec::new(),
             preds: Vec::new(),
+            scratch: CycleScratch::default(),
         }
     }
 
@@ -254,14 +294,27 @@ impl Dfg {
     }
 
     /// Depth-first reachability query (`from` can reach `target`).
-    fn reaches(&self, from: NodeId, target: NodeId) -> bool {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![from];
+    ///
+    /// A node without successors reaches only itself, which answers most
+    /// edges of a graph built in topological order without a search.
+    fn reaches(&mut self, from: NodeId, target: NodeId) -> bool {
+        if self.succs[from.index()].is_empty() {
+            return from == target;
+        }
+        let CycleScratch { seen, stamp, stack } = &mut self.scratch;
+        *stamp = stamp.wrapping_add(1);
+        if *stamp == 0 {
+            seen.fill(0);
+            *stamp = 1;
+        }
+        seen.resize(self.nodes.len(), 0);
+        stack.clear();
+        stack.push(from);
         while let Some(n) = stack.pop() {
             if n == target {
                 return true;
             }
-            if std::mem::replace(&mut seen[n.index()], true) {
+            if std::mem::replace(&mut seen[n.index()], *stamp) == *stamp {
                 continue;
             }
             stack.extend(self.succs[n.index()].iter().copied());
@@ -352,11 +405,18 @@ impl Dfg {
     /// an empty graph.
     #[must_use]
     pub fn critical_path_len(&self) -> usize {
+        self.critical_path_len_in(&self.topo_order())
+    }
+
+    /// [`Dfg::critical_path_len`] along `order`, a topological order of
+    /// this graph the caller already holds (see [`Dfg::topo_order`]).
+    #[must_use]
+    pub fn critical_path_len_in(&self, order: &[NodeId]) -> usize {
         if self.is_empty() {
             return 0;
         }
         let mut depth = vec![1usize; self.len()];
-        for n in self.topo_order() {
+        for &n in order {
             for &s in self.succs(n) {
                 depth[s.index()] = depth[s.index()].max(depth[n.index()] + 1);
             }
@@ -381,21 +441,22 @@ impl Dfg {
     /// child — the paper's Rule 2 "parents with the same child".
     #[must_use]
     pub fn sibling_pairs(&self) -> Vec<(NodeId, NodeId)> {
-        let mut out = HashSet::new();
+        let mut out = Vec::new();
         for n in self.node_ids() {
             let parents = self.preds(n);
             for (i, &a) in parents.iter().enumerate() {
                 for &b in &parents[i + 1..] {
                     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
                     if lo != hi {
-                        out.insert((lo, hi));
+                        out.push((lo, hi));
                     }
                 }
             }
         }
-        let mut v: Vec<_> = out.into_iter().collect();
-        v.sort_unstable();
-        v
+        // Two children can share a parent pair.
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// Disjoint union: appends every node and edge of `other` to `self`,

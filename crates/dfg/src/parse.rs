@@ -11,6 +11,7 @@
 //! Labels are arbitrary identifiers; each `op` line mints a node, `edge`
 //! lines reference earlier labels.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -125,7 +126,8 @@ impl std::error::Error for ParseDfgError {}
 /// ```
 pub fn parse_dfg(text: &str) -> Result<Dfg, ParseDfgError> {
     let mut dfg: Option<Dfg> = None;
-    let mut labels: HashMap<String, NodeId> = HashMap::new();
+    // Labels borrow from `text`: an op costs its node's one label string.
+    let mut labels: HashMap<&str, NodeId> = HashMap::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -140,11 +142,17 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, ParseDfgError> {
         // Strip the comment but keep the original offsets: columns must
         // point into the line as the author wrote it.
         let content = raw.split('#').next().unwrap_or("");
-        let tokens = tokenize(content);
-        let Some(&(dir_col, directive)) = tokens.first() else {
+        // Every directive takes at most two arguments, so a line's first
+        // four tokens decide it: a fourth only ever means a bad arity.
+        let mut tokens = [(0, ""); 4];
+        let mut len = 0;
+        for token in Tokens::new(content).take(tokens.len()) {
+            tokens[len] = token;
+            len += 1;
+        }
+        let Some((&(dir_col, directive), args)) = tokens[..len].split_first() else {
             continue;
         };
-        let args = &tokens[1..];
         let check_label = |(col, name): (usize, &str)| {
             if name.len() > MAX_LABEL_LEN {
                 Err(err(col, ParseDfgErrorKind::OversizedLabel(name.len())))
@@ -171,17 +179,16 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, ParseDfgError> {
                 let kind: OpKind = mnemonic
                     .parse()
                     .map_err(|_| err(mn_col, ParseDfgErrorKind::UnknownOp(mnemonic.to_owned())))?;
-                if labels.contains_key(label) {
+                let Entry::Vacant(slot) = labels.entry(label) else {
                     return Err(err(
                         label_col,
                         ParseDfgErrorKind::DuplicateLabel(label.to_owned()),
                     ));
-                }
+                };
                 if g.len() >= MAX_OPS {
                     return Err(err(dir_col, ParseDfgErrorKind::TooManyOps));
                 }
-                let id = g.add_op_with(kind, label, 2);
-                labels.insert(label.to_owned(), id);
+                slot.insert(g.add_op_with(kind, label, 2));
             }
             "edge" => {
                 let g = dfg
@@ -218,26 +225,42 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, ParseDfgError> {
     })
 }
 
-/// Splits a comment-stripped line into `(1-based char column, token)`
-/// pairs, preserving the original column positions.
-fn tokenize(line: &str) -> Vec<(usize, &str)> {
-    let mut tokens = Vec::new();
-    let mut start: Option<(usize, usize)> = None; // (byte offset, column)
-    let mut col = 0usize;
-    for (byte, ch) in line.char_indices() {
-        col += 1;
-        if ch.is_whitespace() {
-            if let Some((b, c)) = start.take() {
-                tokens.push((c, &line[b..byte]));
-            }
-        } else if start.is_none() {
-            start = Some((byte, col));
+/// The whitespace-separated tokens of a comment-stripped line, as
+/// `(1-based char column, token)` pairs at their original positions.
+struct Tokens<'a> {
+    line: &'a str,
+    chars: std::str::CharIndices<'a>,
+    /// Columns consumed so far.
+    col: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(line: &'a str) -> Self {
+        Tokens {
+            line,
+            chars: line.char_indices(),
+            col: 0,
         }
     }
-    if let Some((b, c)) = start {
-        tokens.push((c, &line[b..]));
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = (usize, &'a str);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut start: Option<(usize, usize)> = None; // (byte offset, column)
+        for (byte, ch) in self.chars.by_ref() {
+            self.col += 1;
+            if ch.is_whitespace() {
+                if let Some((b, c)) = start {
+                    return Some((c, &self.line[b..byte]));
+                }
+            } else if start.is_none() {
+                start = Some((byte, self.col));
+            }
+        }
+        start.map(|(b, c)| (c, &self.line[b..]))
     }
-    tokens
 }
 
 /// Serializes a [`Dfg`] into the textual format accepted by [`parse_dfg`].

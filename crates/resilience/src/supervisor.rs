@@ -352,15 +352,12 @@ impl std::error::Error for SupervisorError {}
 /// both phases). `None` only if the relaxed problem fails validation,
 /// which loosening latencies cannot cause in practice.
 fn relaxed(problem: &SynthesisProblem, step: usize) -> Option<SynthesisProblem> {
-    let mut builder = SynthesisProblem::builder(problem.dfg().clone(), problem.catalog().clone())
-        .mode(problem.mode())
+    problem
+        .to_builder()
         .detection_latency(problem.detection_latency() + step)
         .recovery_latency(problem.recovery_latency() + step)
-        .area_limit(problem.area_limit());
-    for &(a, b) in problem.related_pairs() {
-        builder = builder.related_pair(a, b);
-    }
-    builder.build().ok()
+        .build()
+        .ok()
 }
 
 /// Re-validates a back end's claimed design: validator-clean and the
