@@ -8,8 +8,10 @@
 //! seeded consistent-hash ring ([`crate::ring`]); the routing pipeline
 //! for a `synth` is:
 //!
-//! 1. **Key + walk** — derive the cache key, walk the ring: rank 1 is
-//!    the shard owner, later ranks are failover targets.
+//! 1. **Key + walk** — parse the frame once (the request and its JSON,
+//!    which every forwarded copy is re-rendered from), derive the cache
+//!    key, walk the ring: rank 1 is the shard owner, later ranks are
+//!    failover targets.
 //! 2. **Peer cache probes** — before dispatching, probe up to
 //!    `probe_depth` other non-dead workers' caches over the wire
 //!    (`cmd: "probe"`); a hit is relayed as-is, certificate included.
@@ -17,7 +19,8 @@
 //!    probed. This is the shared cache tier: after a rebalance or a
 //!    demotion, the previous owner's warm results keep serving. A hit
 //!    on a non-owner triggers a background *read-repair* put to the
-//!    live owner so ownership locality heals itself.
+//!    live owner so ownership locality heals itself; only a key not
+//!    yet repaired asks the probe for the raw entry the put needs.
 //! 3. **Dispatch with failover** — forward to the first live worker
 //!    whose rationed [`Breaker`](troy_service::Breaker) admits, with
 //!    `deadline_ms` rewritten to the *remaining* budget. A transport
@@ -27,10 +30,10 @@
 //!    diagnostic whenever a non-owner answered.
 //! 4. **Write-behind replication** — a fresh un-degraded result is
 //!    copied (`cmd: "put"`) to the next `replication - 1` ring
-//!    successors in the background; the receiving worker re-validates
-//!    the entry through the certified-store gate before storing it.
-//!    Killing the owner then costs zero re-solves: the hot key keeps
-//!    serving, byte-identical, from a replica.
+//!    successors on a background thread; the receiving worker
+//!    re-validates the entry through the certified-store gate before
+//!    storing it. Killing the owner then costs zero re-solves: the hot
+//!    key keeps serving, byte-identical, from a replica.
 //! 5. **Typed shed** — with no admissible worker at all, the router
 //!    sheds `unavailable` + `TS006` with a `retry_after_ms` hint taken
 //!    from the breakers. Worker-issued rejections (overload, draining)
@@ -38,11 +41,19 @@
 //!    worker that owns the queue, not from a router constant — tagged
 //!    with the worker's name.
 //!
+//! Every worker hop of this pipeline — probes, dispatches, write-behind
+//! and read-repair puts, and client `probe`/`put` relays — runs on the
+//! worker slot's pool of open connections ([`WorkerSlot::call`]), and
+//! each worker reply is parsed once: `annotate` edits the parsed
+//! reply and splices the router's rendered `stats` trailer in as text.
+//! The worker connections a pool opens count `worker_connects`.
+//!
 //! A health-check thread pings every non-dead worker each
 //! `health_interval` through the same breaker (`admit` → ping →
 //! outcome), so a sick worker is demoted from dispatch by its breaker
 //! and promoted back by a successful half-open probe, without any state
-//! change a request could race against.
+//! change a request could race against. Pings open a fresh connection
+//! each, so they also test that the worker's listener still accepts.
 //!
 //! **Respawn supervision** (`respawn: true`): a supervisor thread scans
 //! for dead slots and adopts a fresh in-process daemon into each —
@@ -85,7 +96,7 @@ use std::time::{Duration, Instant};
 use troy_analysis::Code;
 use troy_resilience::{Backoff, Chaos, ClusterFault, SelfHealFault};
 use troy_service::{
-    parse_request, request_key, roundtrip, serve_frames, BreakerConfig, BreakerDecision, Cmd, Gate,
+    parse_frame, request_key, roundtrip, serve_frames, BreakerConfig, BreakerDecision, Cmd, Gate,
     Json, RejectKind, Request, Response, Service, ServiceConfig, StatsSnapshot,
 };
 
@@ -235,6 +246,19 @@ impl Shared {
 
     fn stats_json(&self) -> String {
         self.stats.snapshot().to_json()
+    }
+
+    /// One data-plane exchange with `slot` on its connection pool.
+    fn call(&self, slot: &WorkerSlot, line: &str, budget: Duration) -> std::io::Result<String> {
+        slot.call(line, budget, &self.stats.worker_connects)
+    }
+
+    /// Whether `key_low` was already read-repaired in this ring epoch.
+    fn is_repaired(&self, key_low: u64) -> bool {
+        self.repaired
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains(&key_low)
     }
 }
 
@@ -686,7 +710,7 @@ fn warm_newcomer(shared: &Arc<Shared>, idx: usize) {
     let workers = shared.worker_snapshot();
     let newcomer = &workers[idx];
     for (_, line) in recent {
-        let Ok(request) = parse_request(&line) else {
+        let Ok((request, frame)) = parse_frame(&line) else {
             continue;
         };
         let Ok(key) = request_key(&request) else {
@@ -696,9 +720,6 @@ fn warm_newcomer(shared: &Arc<Shared>, idx: usize) {
         if walk.first() != Some(&idx) {
             continue;
         }
-        let Some(frame) = Json::parse(&line) else {
-            continue;
-        };
         let probe_line = rewrite(
             &frame,
             &[
@@ -751,10 +772,10 @@ fn replay_journal(shared: &Arc<Shared>, entries: Vec<JournalEntry>) {
         if shared.is_draining() {
             return;
         }
-        if let Ok(request) = parse_request(&entry.frame) {
+        if let Ok((request, frame)) = parse_frame(&entry.frame) {
             if request.cmd == Cmd::Synth {
                 ClusterStats::bump(&shared.stats.journal_replays);
-                let _ = dispatch_synth(&entry.frame, &request, shared, true);
+                let _ = dispatch_synth(&entry.frame, &request, &frame, shared, true);
             }
         }
         // Unparseable or non-synth frames are terminal by definition.
@@ -786,8 +807,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
 /// router crash in between replays it on restart. Returns whether to
 /// keep the connection.
 fn serve_line(line: &str, shared: &Arc<Shared>, stream: &mut TcpStream) -> bool {
-    let request = match parse_request(line) {
-        Ok(r) => r,
+    let (request, frame) = match parse_frame(line) {
+        Ok(parsed) => parsed,
         Err(msg) => {
             ClusterStats::bump(&shared.stats.malformed);
             let reject = Response::reject(None, RejectKind::Malformed, msg);
@@ -808,7 +829,7 @@ fn serve_line(line: &str, shared: &Arc<Shared>, stream: &mut TcpStream) -> bool 
     };
     let id = request.id.clone();
     let close_after = request.cmd == Cmd::Shutdown;
-    let rendered = match catch_unwind(AssertUnwindSafe(|| route(line, &request, shared))) {
+    let rendered = match catch_unwind(AssertUnwindSafe(|| route(line, &request, &frame, shared))) {
         Ok(rendered) => rendered,
         Err(payload) => {
             let detail = payload
@@ -841,10 +862,11 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
     stream.write_all(out.as_bytes())
 }
 
-/// Routes one parsed request and returns the fully rendered response
-/// line (local responses carry the cluster `stats` trailer; relayed
-/// worker responses have it substituted in).
-fn route(line: &str, request: &Request, shared: &Arc<Shared>) -> String {
+/// Routes one parsed request (`frame` is the same line as JSON) and
+/// returns the fully rendered response line (local responses carry the
+/// cluster `stats` trailer; relayed worker responses have it
+/// substituted in).
+fn route(line: &str, request: &Request, frame: &Json, shared: &Arc<Shared>) -> String {
     match request.cmd {
         Cmd::Ping => Response::outcome(&request.id, "pong").render_with(&shared.stats_json()),
         Cmd::Stats => Response::outcome(&request.id, "ok").render_with(&shared.stats_json()),
@@ -854,8 +876,8 @@ fn route(line: &str, request: &Request, shared: &Arc<Shared>) -> String {
             r.message = Some("draining: the cluster no longer accepts requests".to_owned());
             r.render_with(&shared.stats_json())
         }
-        Cmd::Synth => dispatch_synth(line, request, shared, false),
-        Cmd::Probe => dispatch_probe(line, request, shared),
+        Cmd::Synth => dispatch_synth(line, request, frame, shared, false),
+        Cmd::Probe => dispatch_probe(line, request, frame, shared),
         Cmd::Put => dispatch_put(line, request, shared),
     }
 }
@@ -874,8 +896,15 @@ struct Tags<'a> {
     replayed: bool,
 }
 
-/// Full routing pipeline for one `synth` (see the module docs).
-fn dispatch_synth(line: &str, request: &Request, shared: &Arc<Shared>, replayed: bool) -> String {
+/// Full routing pipeline for one `synth` (see the module docs). `frame`
+/// is `line` parsed once, re-rendered for every forwarded copy.
+fn dispatch_synth(
+    line: &str,
+    request: &Request,
+    frame: &Json,
+    shared: &Arc<Shared>,
+    replayed: bool,
+) -> String {
     ClusterStats::bump(&shared.stats.requests);
     let key = match request_key(request) {
         Ok(k) => k,
@@ -885,7 +914,8 @@ fn dispatch_synth(line: &str, request: &Request, shared: &Arc<Shared>, replayed:
                 .render_with(&shared.stats_json());
         }
     };
-    remember_frame(shared, key.halves().0, line);
+    let key_low = key.halves().0;
+    remember_frame(shared, key_low, line);
     let deadline = request.deadline.unwrap_or(shared.default_deadline);
     let t_end = Instant::now() + deadline;
     // Ring before workers: membership is append-only and `add_worker`
@@ -894,35 +924,27 @@ fn dispatch_synth(line: &str, request: &Request, shared: &Arc<Shared>, replayed:
     let walk = shared.walk_for(key.halves());
     let workers = shared.worker_snapshot();
     let owner = walk.first().copied();
-    // The raw frame re-parsed as JSON so the forwarded copies (probe
-    // command, rewritten deadline) preserve every original field.
-    let Some(frame) = Json::parse(line) else {
-        // parse_request accepted it, so this cannot happen; shed typed.
-        ClusterStats::bump(&shared.stats.routed_error);
-        return Response::reject(Some(&request.id), RejectKind::Internal, "unroutable frame")
-            .render_with(&shared.stats_json());
-    };
     let replicating = shared.replication > 1;
 
     // Peer cache tier: probe other workers' caches before spending a
     // solver anywhere. The predicted dispatch head is excluded — it
-    // will consult its own cache inline when the synth arrives. With
-    // replication on, probes ask for the raw entry so a hit on a
-    // non-owner can be read-repaired back to the live owner.
+    // will consult its own cache inline when the synth arrives. Only a
+    // key not yet read-repaired asks for the raw entry: a hit on a
+    // non-owner can then be repaired back to the live owner.
     let head = walk
         .iter()
         .copied()
         .find(|&i| workers[i].is_dispatchable() && !workers[i].breaker.is_open(Instant::now()));
-    let probe_line = if replicating {
+    let probe_line = if replicating && !shared.is_repaired(key_low) {
         rewrite(
-            &frame,
+            frame,
             &[
                 ("cmd", Json::Str("probe".to_owned())),
                 ("want_entry", Json::Bool(true)),
             ],
         )
     } else {
-        with_cmd(&frame, "probe")
+        with_cmd(frame, "probe")
     };
     let probe_targets: Vec<usize> = walk
         .iter()
@@ -933,40 +955,31 @@ fn dispatch_synth(line: &str, request: &Request, shared: &Arc<Shared>, replayed:
     for i in probe_targets {
         ClusterStats::bump(&shared.stats.probes);
         let slot = &workers[i];
-        match roundtrip(slot.addr(), &probe_line, shared.probe_timeout) {
-            Ok(resp) => {
-                slot.breaker.record_success(Instant::now());
-                let parsed = Json::parse(&resp);
-                if parsed
-                    .as_ref()
-                    .and_then(|j| j.get("status"))
-                    .and_then(Json::as_str)
-                    == Some("ok")
-                {
-                    ClusterStats::bump(&shared.stats.probe_hits);
-                    ClusterStats::bump(&shared.stats.routed_ok);
-                    if let Some(parsed) = &parsed {
-                        read_repair(shared, &frame, key.halves().0, &walk, &workers, i, parsed);
-                    }
-                    // A cache-tier hit is only a *failover* when the
-                    // owner could not have served (dead, demoted, or
-                    // breaker-open); with a healthy owner, serving from
-                    // a warm peer is the shared cache tier working —
-                    // and the response stays byte-identical to the
-                    // owner's own answer.
-                    let failover = head != owner && Some(i) != owner;
-                    let tags = Tags {
-                        worker: &slot.name,
-                        failover,
-                        respawned: slot.generation() > 0,
-                        replayed,
-                    };
-                    if let Some(out) = annotate(&resp, tags, shared) {
-                        return out;
-                    }
-                }
-            }
-            Err(_) => slot.breaker.record_failure(Instant::now()),
+        let Ok(resp) = shared.call(slot, &probe_line, shared.probe_timeout) else {
+            slot.breaker.record_failure(Instant::now());
+            continue;
+        };
+        slot.breaker.record_success(Instant::now());
+        let Some(parsed) = Json::parse(&resp).filter(|j| status_of(j) == "ok") else {
+            continue;
+        };
+        ClusterStats::bump(&shared.stats.probe_hits);
+        ClusterStats::bump(&shared.stats.routed_ok);
+        read_repair(shared, frame, key_low, &walk, &workers, i, &parsed);
+        // A cache-tier hit is only a *failover* when the owner could
+        // not have served (dead, demoted, or breaker-open); with a
+        // healthy owner, serving from a warm peer is the shared cache
+        // tier working — and the response stays byte-identical to the
+        // owner's own answer.
+        let failover = head != owner && Some(i) != owner;
+        let tags = Tags {
+            worker: &slot.name,
+            failover,
+            respawned: slot.generation() > 0,
+            replayed,
+        };
+        if let Some(out) = annotate(parsed, tags, shared) {
+            return out;
         }
     }
 
@@ -996,7 +1009,7 @@ fn dispatch_synth(line: &str, request: &Request, shared: &Arc<Shared>, replayed:
         // Chaos: dispatch-site fault injection. Kill, partition and
         // torn-frame all consume this candidate (the transport failed);
         // a stall only delays it.
-        match shared.chaos.fault_for_dispatch(i, key.halves().0, attempt) {
+        match shared.chaos.fault_for_dispatch(i, key_low, attempt) {
             Some(ClusterFault::WorkerKill) => {
                 ClusterStats::bump(&shared.stats.chaos_kills);
                 slot.kill();
@@ -1016,7 +1029,7 @@ fn dispatch_synth(line: &str, request: &Request, shared: &Arc<Shared>, replayed:
             }
             Some(ClusterFault::TornFrame) => {
                 ClusterStats::bump(&shared.stats.chaos_torn);
-                send_torn_frame(slot.addr(), &with_deadline(&frame, remaining, false));
+                send_torn_frame(slot.addr(), &with_deadline(frame, remaining, false));
                 slot.breaker.record_failure(Instant::now());
                 failovers += 1;
                 ClusterStats::bump(&shared.stats.failovers);
@@ -1034,49 +1047,41 @@ fn dispatch_synth(line: &str, request: &Request, shared: &Arc<Shared>, replayed:
             None => {}
         }
         attempt += 1;
-        let dispatch_line = with_deadline(&frame, remaining, replicating);
-        if let Ok(resp) = roundtrip(
-            slot.addr(),
-            &dispatch_line,
-            remaining + shared.dispatch_grace,
-        ) {
-            let Some(parsed) = Json::parse(&resp) else {
-                // A garbled frame is transport failure, not truth.
-                slot.breaker.record_failure(Instant::now());
-                failovers += 1;
-                ClusterStats::bump(&shared.stats.failovers);
-                continue;
-            };
-            slot.breaker.record_success(Instant::now());
-            let status = parsed.get("status").and_then(Json::as_str).unwrap_or("");
-            match status {
-                "ok" | "degraded" | "miss" => ClusterStats::bump(&shared.stats.routed_ok),
-                "error" => ClusterStats::bump(&shared.stats.routed_error),
-                _ => ClusterStats::bump(&shared.stats.relayed_rejects),
-            }
-            if status == "ok" {
-                // Write-behind: copy the (fresh or cache-served)
-                // un-degraded entry to the next R−1 ring successors.
-                replicate(shared, &frame, key.halves().0, &walk, &workers, i, &parsed);
-            }
-            let failover = failovers > 0 || Some(i) != owner;
-            let tags = Tags {
-                worker: &slot.name,
-                failover,
-                respawned: slot.generation() > 0,
-                replayed,
-            };
-            if let Some(out) = annotate(&resp, tags, shared) {
-                return out;
-            }
-            // Unannotatable yet parseable cannot happen (annotate only
-            // fails on non-objects); relay verbatim as a last resort
-            // rather than dropping the request.
-            return resp;
+        let dispatch_line = with_deadline(frame, remaining, replicating);
+        let budget = remaining + shared.dispatch_grace;
+        // A garbled frame is transport failure, not truth.
+        let Some((resp, parsed)) = shared
+            .call(slot, &dispatch_line, budget)
+            .ok()
+            .and_then(|resp| Json::parse(&resp).map(|parsed| (resp, parsed)))
+        else {
+            slot.breaker.record_failure(Instant::now());
+            failovers += 1;
+            ClusterStats::bump(&shared.stats.failovers);
+            continue;
+        };
+        slot.breaker.record_success(Instant::now());
+        let status = status_of(&parsed);
+        match status {
+            "ok" | "degraded" | "miss" => ClusterStats::bump(&shared.stats.routed_ok),
+            "error" => ClusterStats::bump(&shared.stats.routed_error),
+            _ => ClusterStats::bump(&shared.stats.relayed_rejects),
         }
-        slot.breaker.record_failure(Instant::now());
-        failovers += 1;
-        ClusterStats::bump(&shared.stats.failovers);
+        if status == "ok" {
+            // Write-behind: copy the (fresh or cache-served)
+            // un-degraded entry to the next R−1 ring successors.
+            replicate(shared, frame, key_low, &walk, &workers, i, &parsed);
+        }
+        let failover = failovers > 0 || Some(i) != owner;
+        let tags = Tags {
+            worker: &slot.name,
+            failover,
+            respawned: slot.generation() > 0,
+            replayed,
+        };
+        // `annotate` fails only on a non-object reply; relay that
+        // verbatim as a last resort rather than dropping the request.
+        return annotate(parsed, tags, shared).unwrap_or(resp);
     }
 
     if attempted_any {
@@ -1143,7 +1148,7 @@ fn replicate(
     let Some(entry) = parsed.get("entry") else {
         return; // the worker sent no entry (degraded path, old frame)
     };
-    let mut targets: Vec<(usize, SocketAddr)> = Vec::new();
+    let mut targets: Vec<(usize, Arc<WorkerSlot>)> = Vec::new();
     for &j in walk {
         if targets.len() + 1 >= shared.replication {
             break;
@@ -1151,7 +1156,7 @@ fn replicate(
         if j == served_by || !workers[j].is_probeable() {
             continue;
         }
-        targets.push((j, workers[j].addr()));
+        targets.push((j, Arc::clone(&workers[j])));
     }
     if targets.is_empty() {
         return;
@@ -1215,7 +1220,7 @@ fn read_repair(
     spawn_puts(
         shared,
         put_line,
-        vec![(owner, workers[owner].addr())],
+        vec![(owner, Arc::clone(&workers[owner]))],
         key_low,
         true,
     );
@@ -1228,13 +1233,13 @@ fn read_repair(
 fn spawn_puts(
     shared: &Arc<Shared>,
     put_line: String,
-    targets: Vec<(usize, SocketAddr)>,
+    targets: Vec<(usize, Arc<WorkerSlot>)>,
     key_low: u64,
     repair: bool,
 ) {
     let shared = Arc::clone(shared);
     std::thread::spawn(move || {
-        for (i, addr) in targets {
+        for (i, slot) in targets {
             if shared.is_draining() {
                 return;
             }
@@ -1243,7 +1248,7 @@ fn spawn_puts(
                 continue;
             }
             if matches!(
-                roundtrip(addr, &put_line, shared.probe_timeout),
+                shared.call(&slot, &put_line, shared.probe_timeout),
                 Ok(resp) if resp.contains("\"status\":\"ok\"")
             ) {
                 if repair {
@@ -1258,7 +1263,7 @@ fn spawn_puts(
 
 /// A client-facing `probe`: consult every non-dead worker's cache in
 /// walk order; the first hit is relayed, otherwise `miss`.
-fn dispatch_probe(line: &str, request: &Request, shared: &Arc<Shared>) -> String {
+fn dispatch_probe(line: &str, request: &Request, frame: &Json, shared: &Arc<Shared>) -> String {
     ClusterStats::bump(&shared.stats.requests);
     let key = match request_key(request) {
         Ok(k) => k,
@@ -1279,33 +1284,25 @@ fn dispatch_probe(line: &str, request: &Request, shared: &Arc<Shared>) -> String
             continue;
         }
         ClusterStats::bump(&shared.stats.probes);
-        match roundtrip(slot.addr(), line, shared.probe_timeout) {
-            Ok(resp) => {
-                slot.breaker.record_success(Instant::now());
-                let parsed = Json::parse(&resp);
-                if parsed
-                    .as_ref()
-                    .and_then(|j| j.get("status"))
-                    .and_then(Json::as_str)
-                    == Some("ok")
-                {
-                    ClusterStats::bump(&shared.stats.probe_hits);
-                    ClusterStats::bump(&shared.stats.routed_ok);
-                    if let (Some(parsed), Some(frame)) = (&parsed, Json::parse(line)) {
-                        read_repair(shared, &frame, key.halves().0, &walk, &workers, i, parsed);
-                    }
-                    let tags = Tags {
-                        worker: &slot.name,
-                        failover: Some(i) != owner,
-                        respawned: slot.generation() > 0,
-                        replayed: false,
-                    };
-                    if let Some(out) = annotate(&resp, tags, shared) {
-                        return out;
-                    }
-                }
-            }
-            Err(_) => slot.breaker.record_failure(Instant::now()),
+        let Ok(resp) = shared.call(slot, line, shared.probe_timeout) else {
+            slot.breaker.record_failure(Instant::now());
+            continue;
+        };
+        slot.breaker.record_success(Instant::now());
+        let Some(parsed) = Json::parse(&resp).filter(|j| status_of(j) == "ok") else {
+            continue;
+        };
+        ClusterStats::bump(&shared.stats.probe_hits);
+        ClusterStats::bump(&shared.stats.routed_ok);
+        read_repair(shared, frame, key.halves().0, &walk, &workers, i, &parsed);
+        let tags = Tags {
+            worker: &slot.name,
+            failover: Some(i) != owner,
+            respawned: slot.generation() > 0,
+            replayed: false,
+        };
+        if let Some(out) = annotate(parsed, tags, shared) {
+            return out;
         }
     }
     ClusterStats::bump(&shared.stats.routed_ok);
@@ -1340,33 +1337,27 @@ fn dispatch_put(line: &str, request: &Request, shared: &Arc<Shared>) -> String {
         if !slot.is_probeable() {
             continue;
         }
-        match roundtrip(slot.addr(), line, shared.probe_timeout) {
-            Ok(resp) => {
-                slot.breaker.record_success(Instant::now());
-                stored += 1;
-                let status = Json::parse(&resp)
-                    .as_ref()
-                    .and_then(|j| j.get("status"))
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_owned();
-                let rejected = status != "ok";
-                if relayed.is_none() {
-                    let tags = Tags {
-                        worker: &slot.name,
-                        failover: false,
-                        respawned: slot.generation() > 0,
-                        replayed: false,
-                    };
-                    if let Some(out) = annotate(&resp, tags, shared) {
-                        relayed = Some((status, out));
-                    }
-                }
-                if rejected {
-                    break;
-                }
+        let Ok(resp) = shared.call(slot, line, shared.probe_timeout) else {
+            slot.breaker.record_failure(Instant::now());
+            continue;
+        };
+        slot.breaker.record_success(Instant::now());
+        stored += 1;
+        let parsed = Json::parse(&resp);
+        let status = parsed.as_ref().map_or("", status_of).to_owned();
+        if relayed.is_none() {
+            let tags = Tags {
+                worker: &slot.name,
+                failover: false,
+                respawned: slot.generation() > 0,
+                replayed: false,
+            };
+            if let Some(out) = parsed.and_then(|parsed| annotate(parsed, tags, shared)) {
+                relayed = Some((status.clone(), out));
             }
-            Err(_) => slot.breaker.record_failure(Instant::now()),
+        }
+        if status != "ok" {
+            break;
         }
     }
     if let Some((status, out)) = relayed {
@@ -1454,7 +1445,12 @@ fn rewrite(frame: &Json, changes: &[(&str, Json)]) -> String {
     frame.render()
 }
 
-/// Relay surgery on a worker response line: substitute the cluster's
+/// A reply's `status`, or `""`.
+fn status_of(reply: &Json) -> &str {
+    reply.get("status").and_then(Json::as_str).unwrap_or("")
+}
+
+/// Relay surgery on a parsed worker response: substitute the cluster's
 /// `stats` trailer, strip the internal `entry` payload (it exists for
 /// the router's replication machinery, never for clients), tag
 /// rejections/errors with the serving worker's name, and append the
@@ -1462,19 +1458,29 @@ fn rewrite(frame: &Json, changes: &[(&str, Json)]) -> String {
 /// the serving worker is a respawned generation, `TS008` when the
 /// request was replayed from the dispatch journal. Field order is
 /// preserved so relayed responses stay byte-comparable with
-/// single-daemon ones (modulo exactly these fields).
-fn annotate(resp: &str, tags: Tags<'_>, shared: &Arc<Shared>) -> Option<String> {
-    let mut json = Json::parse(resp)?;
-    let Json::Obj(fields) = &mut json else {
+/// single-daemon ones (modulo exactly these fields). `None` for a
+/// reply that is not an object.
+fn annotate(reply: Json, tags: Tags<'_>, shared: &Arc<Shared>) -> Option<String> {
+    let Json::Obj(mut fields) = reply else {
         return None;
     };
     fields.retain(|(k, _)| k != "entry");
-    let status = fields
-        .iter()
-        .find(|(k, _)| k == "status")
-        .and_then(|(_, v)| v.as_str())
-        .unwrap_or("")
-        .to_owned();
+    let relayed_error = matches!(
+        fields
+            .iter()
+            .find(|(k, _)| k == "status")
+            .and_then(|(_, v)| v.as_str()),
+        Some("rejected" | "error")
+    );
+    // The cluster's trailer takes the worker's `stats` position (the
+    // end, for every daemon reply); fields added here go before it.
+    let mut stats_at = match fields.iter().position(|(k, _)| k == "stats") {
+        Some(at) => {
+            fields.remove(at);
+            at
+        }
+        None => fields.len(),
+    };
     let mut extra: Vec<&str> = Vec::new();
     if tags.failover {
         extra.push(Code::WorkerFailover.as_str());
@@ -1492,24 +1498,72 @@ fn annotate(resp: &str, tags: Tags<'_>, shared: &Arc<Shared>) -> Option<String> 
                 codes.push(value);
             }
         } else {
-            let at = fields
-                .iter()
-                .position(|(k, _)| k == "stats")
-                .unwrap_or(fields.len());
-            fields.insert(at, ("codes".to_owned(), Json::Arr(vec![value])));
+            fields.insert(stats_at, ("codes".to_owned(), Json::Arr(vec![value])));
+            stats_at += 1;
         }
     }
-    if matches!(status.as_str(), "rejected" | "error") {
-        let at = fields
-            .iter()
-            .position(|(k, _)| k == "stats")
-            .unwrap_or(fields.len());
-        fields.insert(at, ("worker".to_owned(), Json::Str(tags.worker.to_owned())));
+    if relayed_error {
+        let worker = Json::Str(tags.worker.to_owned());
+        fields.insert(stats_at, ("worker".to_owned(), worker));
+        stats_at += 1;
     }
-    let stats = Json::parse(&shared.stats_json())?;
-    match fields.iter_mut().find(|(k, _)| k == "stats") {
-        Some(slot) => slot.1 = stats,
-        None => fields.push(("stats".to_owned(), stats)),
+    // Splice the rendered trailer in: `{head…,"stats":{…},tail…}`.
+    let tail = fields.split_off(stats_at);
+    let mut out = Json::Obj(fields).render();
+    out.pop(); // the head's closing brace
+    if out.len() > 1 {
+        out.push(',');
     }
-    Some(json.render())
+    out.push_str("\"stats\":");
+    out.push_str(&shared.stats_json());
+    if tail.is_empty() {
+        out.push('}');
+    } else {
+        out.push(',');
+        out.push_str(&Json::Obj(tail).render()[1..]);
+    }
+    Some(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pooled_hits_reuse_one_connection_per_worker() {
+        // A generous probe budget: a loaded machine must not time a
+        // pooled connection out and force a reconnect.
+        let cluster = Cluster::start(ClusterConfig {
+            workers: 3,
+            probe_timeout: Duration::from_secs(5),
+            ..ClusterConfig::default()
+        })
+        .expect("cluster");
+        let router = cluster.local_addr();
+        let line = |id: usize| {
+            format!(
+                "{{\"id\":\"h{id}\",\"cmd\":\"synth\",\"benchmark\":\"polynom\",\
+                 \"catalog\":\"table1\",\"lambda_det\":4,\"lambda_rec\":3,\"area\":22000}}"
+            )
+        };
+        let fresh = roundtrip(router, &line(0), Duration::from_secs(15)).expect("fresh solve");
+        assert!(fresh.contains("\"status\":\"ok\""), "{fresh}");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cluster.stats().replicas_put < 1 {
+            assert!(Instant::now() < deadline, "write-behind must land");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for id in 1..=50 {
+            let hit = roundtrip(router, &line(id), Duration::from_secs(15)).expect("hit");
+            assert!(hit.contains("\"cached\":true"), "{hit}");
+        }
+        let stats = cluster.stats();
+        assert!(stats.probe_hits >= 50, "{stats:?}");
+        assert!(
+            stats.worker_connects <= 3,
+            "one fresh connection per worker at most: {stats:?}"
+        );
+        cluster.handle().shutdown();
+        let _ = cluster.join();
+    }
 }

@@ -56,6 +56,9 @@ troy_service::counters! {
         chaos_replica_drops,
         /// Injected torn journal appends.
         chaos_journal_torn,
+        /// Fresh router→worker connections opened for probes, dispatches
+        /// and puts (the rest reuse a pooled connection).
+        worker_connects,
     }
 }
 
@@ -107,6 +110,7 @@ mod tests {
             chaos_respawn_storms: AtomicU64::new(21),
             chaos_replica_drops: AtomicU64::new(22),
             chaos_journal_torn: AtomicU64::new(23),
+            worker_connects: AtomicU64::new(24),
         };
         assert_eq!(
             distinct.snapshot().to_json(),
@@ -116,7 +120,7 @@ mod tests {
              \"read_repairs\":13,\"warmed\":14,\"journal_appends\":15,\
              \"journal_replays\":16,\"chaos_kills\":17,\"chaos_partitions\":18,\
              \"chaos_torn\":19,\"chaos_stalls\":20,\"chaos_respawn_storms\":21,\
-             \"chaos_replica_drops\":22,\"chaos_journal_torn\":23}"
+             \"chaos_replica_drops\":22,\"chaos_journal_torn\":23,\"worker_connects\":24}"
         );
     }
 }

@@ -20,12 +20,27 @@
 //! race-free — a stale `escalate(Dead)` aimed at generation `g` can
 //! never kill generation `g+1` by accident, because `escalate` only
 //! upgrades within the generation it observed.
+//!
+//! Every data-plane hop to the worker — probe, dispatch, `put` — goes
+//! through [`WorkerSlot::call`], which keeps up to two idle connections
+//! to the current daemon open between requests. A connection goes back
+//! to the pool only after it carried exactly one whole reply line, so a
+//! late or stray reply is never read as the next request's answer. A
+//! kill, a respawn and the final drain empty the pool; health pings
+//! connect afresh, since they test that the listener still accepts.
 
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, PoisonError, RwLock};
+use std::io::{Error, ErrorKind};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
+use std::time::{Duration, Instant};
 
-use troy_service::{Breaker, BreakerConfig, Service, ServiceHandle, StatsSnapshot};
+use troy_service::{
+    connect, exchange, is_unanswered, Breaker, BreakerConfig, Service, ServiceHandle, StatsSnapshot,
+};
+
+/// Idle connections kept open per worker.
+const POOL_IDLE: usize = 2;
 
 /// Router-visible lifecycle state of one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,6 +116,92 @@ impl Daemon {
     }
 }
 
+/// Open connections to the slot's current daemon. `epoch` changes
+/// whenever the pool is emptied, so a connection checked out before a
+/// kill or respawn is dropped instead of coming back.
+#[derive(Default)]
+struct Pool {
+    state: Mutex<PoolState>,
+}
+
+#[derive(Default)]
+struct PoolState {
+    epoch: u64,
+    idle: Vec<TcpStream>,
+}
+
+impl Pool {
+    /// One request on a pooled connection to `addr()`: take an idle one
+    /// or connect (bumping `connects`), send `line`, and read one reply
+    /// line, all within `budget`. The connection goes back only after a
+    /// clean exchange. A reused connection the daemon had closed, so
+    /// that no reply byte came back, is retried once on a fresh one
+    /// within the same budget.
+    fn call(
+        &self,
+        addr: impl Fn() -> SocketAddr,
+        line: &str,
+        budget: Duration,
+        connects: &AtomicU64,
+    ) -> std::io::Result<String> {
+        let t_end = Instant::now() + budget;
+        let (idle, epoch) = {
+            let mut state = self.lock();
+            (state.idle.pop(), state.epoch)
+        };
+        if let Some(mut stream) = idle {
+            match exchange(&mut stream, line, t_end) {
+                Ok(reply) => {
+                    self.check_in(stream, epoch);
+                    return Ok(reply);
+                }
+                // The daemon closed it while it sat idle: one fresh try,
+                // unless the daemon itself is gone (kill, respawn, drain).
+                Err(e) if is_unanswered(&e) && self.lock().epoch == epoch => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let remaining = t_end.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return Err(Error::new(
+                ErrorKind::TimedOut,
+                "budget spent on a stale connection",
+            ));
+        }
+        // The epoch is read before the address: a respawn in between
+        // bumps it, and the connection is then dropped, not pooled.
+        let epoch = self.lock().epoch;
+        let mut stream = connect(addr(), remaining)?;
+        connects.fetch_add(1, Ordering::Relaxed);
+        let reply = exchange(&mut stream, line, t_end)?;
+        self.check_in(stream, epoch);
+        Ok(reply)
+    }
+
+    /// Returns a connection after a clean exchange, unless the pool was
+    /// emptied since it was taken or is full.
+    fn check_in(&self, stream: TcpStream, epoch: u64) {
+        let mut state = self.lock();
+        if state.epoch == epoch && state.idle.len() < POOL_IDLE {
+            state.idle.push(stream);
+        }
+    }
+
+    /// Closes every idle connection and turns away those checked out.
+    fn empty(&self) {
+        let idle = {
+            let mut state = self.lock();
+            state.epoch += 1;
+            std::mem::take(&mut state.idle)
+        };
+        drop(idle);
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// One worker daemon as the router sees it.
 pub struct WorkerSlot {
     /// Stable short name (`w0`, `w1`, …), surfaced in typed errors. The
@@ -118,6 +219,8 @@ pub struct WorkerSlot {
     /// Drained daemons of dead generations, parked until final drain so
     /// their threads are never abandoned mid-test.
     retired: Mutex<Vec<Service>>,
+    /// Open connections to the current daemon, reused by [`Self::call`].
+    pool: Pool,
 }
 
 impl WorkerSlot {
@@ -130,6 +233,7 @@ impl WorkerSlot {
             state: AtomicU32::new(pack(0, WorkerState::Live)),
             daemon: RwLock::new(Daemon::wrap(service)),
             retired: Mutex::new(Vec::new()),
+            pool: Pool::default(),
         }
     }
 
@@ -199,6 +303,7 @@ impl WorkerSlot {
             .handle
             .kill();
         self.escalate(WorkerState::Dead);
+        self.pool.empty();
     }
 
     /// Cordons the worker: the dispatcher stops sending it new work,
@@ -238,6 +343,7 @@ impl WorkerSlot {
             ) {
                 Ok(_) => {
                     let old = std::mem::replace(&mut *daemon, Daemon::wrap(service));
+                    self.pool.empty();
                     if let Some(dead) = old.service {
                         self.retired
                             .lock()
@@ -258,6 +364,9 @@ impl WorkerSlot {
     /// joined here too, so respawns never abandon threads.
     pub fn shutdown_service(&self) -> Option<StatsSnapshot> {
         self.escalate(WorkerState::Draining);
+        // An idle pooled connection would hold the daemon's frame loop
+        // until its next read tick: close them before the drain.
+        self.pool.empty();
         for dead in
             std::mem::take(&mut *self.retired.lock().unwrap_or_else(PoisonError::into_inner))
         {
@@ -274,6 +383,28 @@ impl WorkerSlot {
         Some(service.join())
     }
 
+    /// One data-plane request to the current daemon on a pooled
+    /// connection: send `line` and read one reply line within `budget`.
+    /// `connects` counts the fresh connections opened (see the module
+    /// docs for when a connection is reused).
+    ///
+    /// # Errors
+    /// As [`troy_service::connect`] and [`troy_service::exchange`].
+    pub fn call(
+        &self,
+        line: &str,
+        budget: Duration,
+        connects: &AtomicU64,
+    ) -> std::io::Result<String> {
+        self.pool.call(|| self.addr(), line, budget, connects)
+    }
+
+    /// Idle pooled connections (tests only).
+    #[cfg(test)]
+    fn idle_connections(&self) -> usize {
+        self.pool.lock().idle.len()
+    }
+
     /// Point-in-time serve-path counters of the worker daemon.
     #[must_use]
     pub fn service_stats(&self) -> StatsSnapshot {
@@ -288,7 +419,148 @@ impl WorkerSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpListener;
+    use std::sync::mpsc;
     use troy_service::{Service, ServiceConfig};
+
+    /// A loopback line server for pool tests. Each request line is
+    /// echoed back, except: `slow…` is echoed after 300 ms (and the
+    /// returned channel told once it was written), `bye…` is echoed and
+    /// the connection closed, `torn…` gets half a line and a close, and
+    /// `twice…` is echoed twice in one write.
+    fn line_server() -> (SocketAddr, mpsc::Receiver<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (late_tx, late_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                let late_tx = late_tx.clone();
+                std::thread::spawn(move || {
+                    let mut out = stream.try_clone().expect("clone");
+                    for line in BufReader::new(stream).lines() {
+                        let Ok(line) = line else { return };
+                        let reply = match line.as_str() {
+                            l if l.starts_with("slow") => {
+                                std::thread::sleep(Duration::from_millis(300));
+                                format!("{l}\n")
+                            }
+                            l if l.starts_with("torn") => {
+                                let _ = out.write_all(b"{\"half");
+                                return;
+                            }
+                            l if l.starts_with("twice") => format!("{l}\n{l}\n"),
+                            l => format!("{l}\n"),
+                        };
+                        let written = out.write_all(reply.as_bytes());
+                        if line.starts_with("slow") {
+                            let _ = late_tx.send(());
+                        }
+                        if written.is_err() || line.starts_with("bye") {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        (addr, late_rx)
+    }
+
+    #[test]
+    fn pool_never_hands_a_late_reply_to_the_next_caller() {
+        let (addr, late) = line_server();
+        let pool = Pool::default();
+        let connects = AtomicU64::new(0);
+        let call = |line: &str, budget: u64| {
+            pool.call(|| addr, line, Duration::from_millis(budget), &connects)
+        };
+        let err = call("slow", 100).expect_err("the reply comes after the budget");
+        assert_eq!(err.kind(), ErrorKind::TimedOut);
+        assert_eq!(
+            pool.lock().idle.len(),
+            0,
+            "a timed-out connection is dropped"
+        );
+        assert_eq!(call("first", 2000).expect("own reply"), "first");
+        // The late reply is on the wire now: had its connection been
+        // kept, the next caller would read it instead of its own.
+        late.recv().expect("the late reply was written");
+        assert_eq!(call("second", 2000).expect("own reply"), "second");
+        assert_eq!(
+            connects.load(Ordering::Relaxed),
+            2,
+            "`second` reused `first`'s"
+        );
+        assert_eq!(pool.lock().idle.len(), 1);
+    }
+
+    #[test]
+    fn pool_drops_a_connection_with_bytes_after_the_reply() {
+        let (addr, _) = line_server();
+        let pool = Pool::default();
+        let connects = AtomicU64::new(0);
+        let err = pool
+            .call(|| addr, "twice", Duration::from_secs(2), &connects)
+            .expect_err("two lines for one request");
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert_eq!(pool.lock().idle.len(), 0);
+        let reply = pool.call(|| addr, "next", Duration::from_secs(2), &connects);
+        assert_eq!(reply.expect("fresh connection"), "next");
+        assert_eq!(connects.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn pool_retries_a_connection_closed_while_idle_but_not_a_torn_reply() {
+        let (addr, _) = line_server();
+        let pool = Pool::default();
+        let connects = AtomicU64::new(0);
+        let call = |line: &str| pool.call(|| addr, line, Duration::from_secs(2), &connects);
+        assert_eq!(call("bye-1").expect("reply"), "bye-1");
+        assert_eq!(pool.lock().idle.len(), 1, "the close is not seen yet");
+        // The pooled connection is closed: no reply byte, so one retry
+        // on a fresh connection answers within the same call.
+        assert_eq!(call("bye-2").expect("retried"), "bye-2");
+        assert_eq!(connects.load(Ordering::Relaxed), 2);
+        assert_eq!(call("ok").expect("retried"), "ok");
+        assert_eq!(connects.load(Ordering::Relaxed), 3);
+        // A reply cut off mid-line is not retried: the request may have
+        // been acted on.
+        let err = call("torn").expect_err("half a line");
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert_eq!(connects.load(Ordering::Relaxed), 3, "no fresh try");
+    }
+
+    #[test]
+    fn pool_is_emptied_by_kill_and_drain_and_follows_a_respawn() {
+        const PING: &str = "{\"id\":\"p\",\"cmd\":\"ping\"}";
+        let connects = AtomicU64::new(0);
+        let service = Service::start(ServiceConfig::default()).expect("worker starts");
+        let slot = WorkerSlot::new("w0".into(), service, BreakerConfig::default());
+        let ping = || slot.call(PING, Duration::from_secs(5), &connects);
+        assert!(ping().expect("pong").contains("\"pong\""));
+        assert!(ping().expect("pong").contains("\"pong\""));
+        assert_eq!(
+            connects.load(Ordering::Relaxed),
+            1,
+            "the second ping reuses"
+        );
+        assert_eq!(slot.idle_connections(), 1);
+
+        slot.kill();
+        assert_eq!(slot.idle_connections(), 0, "a kill empties the pool");
+        let replacement = Service::start(ServiceConfig::default()).expect("replacement");
+        assert_eq!(slot.adopt(replacement).ok(), Some(1));
+        assert!(ping().expect("the newcomer answers").contains("\"pong\""));
+        assert_eq!(connects.load(Ordering::Relaxed), 2);
+        assert_eq!(slot.idle_connections(), 1);
+
+        assert!(slot.shutdown_service().is_some());
+        assert_eq!(
+            slot.idle_connections(),
+            0,
+            "the drain empties the pool first"
+        );
+    }
 
     #[test]
     fn lifecycle_is_monotonic_within_a_generation() {

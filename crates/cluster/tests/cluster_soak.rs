@@ -162,6 +162,20 @@ fn owner_of(cluster: &Cluster, line: &str) -> usize {
     cluster.handle().placement(&request).expect("placement")[0]
 }
 
+/// Leaves the router holding open connections to worker `owner`: the
+/// first tiny key it owns is sent twice (a solve or hit, then a hit).
+fn warm_pool_to(cluster: &Cluster, owner: usize) {
+    let line = (0..6)
+        .map(|v| tiny_variant(&format!("warm{v}"), v, 5000))
+        .find(|line| owner_of(cluster, line) == owner)
+        .expect("some tiny variant hashes to the owner");
+    for _ in 0..2 {
+        let resp = roundtrip(cluster.local_addr(), &line, Duration::from_secs(10)).expect("warm");
+        assert_eq!(status(&resp), "ok", "{resp:?}");
+    }
+    assert!(cluster.stats().worker_connects >= 1);
+}
+
 // ------------------------------------------------------------------ tests
 
 /// Chaos off: the Fig. 5 oracle through a two-worker router is byte
@@ -329,6 +343,16 @@ fn join_rebalance_reuses_the_previous_owners_cache() {
 /// worker, tagged `TS005`, with the identical certified result.
 #[test]
 fn killed_owner_fails_over_with_ts005_and_an_identical_certificate() {
+    killed_owner_fails_over(false);
+}
+
+/// The same, with the router's connections to the owner warm at the kill.
+#[test]
+fn killed_owner_fails_over_with_ts005_and_an_identical_certificate_from_a_warm_pool() {
+    killed_owner_fails_over(true);
+}
+
+fn killed_owner_fails_over(warm_pool: bool) {
     let single = Service::start(ServiceConfig::default()).expect("single daemon");
     let cluster = Cluster::start(ClusterConfig::default()).expect("cluster");
     let router = cluster.local_addr();
@@ -339,6 +363,9 @@ fn killed_owner_fails_over_with_ts005_and_an_identical_certificate() {
     assert_eq!(status(&reference), "ok");
 
     let owner = owner_of(&cluster, FIG5);
+    if warm_pool {
+        warm_pool_to(&cluster, owner);
+    }
     assert!(handle.kill_worker(owner));
     assert_eq!(handle.worker_state(owner), Some(WorkerState::Dead));
 
@@ -368,6 +395,16 @@ fn killed_owner_fails_over_with_ts005_and_an_identical_certificate() {
 /// budget.
 #[test]
 fn mid_flight_worker_kill_re_dispatches_with_the_remaining_deadline() {
+    mid_flight_worker_kill_re_dispatches(false);
+}
+
+/// The same, dispatched on a pooled connection to the owner.
+#[test]
+fn mid_flight_worker_kill_re_dispatches_with_the_remaining_deadline_from_a_warm_pool() {
+    mid_flight_worker_kill_re_dispatches(true);
+}
+
+fn mid_flight_worker_kill_re_dispatches(warm_pool: bool) {
     let cluster = Cluster::start(ClusterConfig::default()).expect("cluster");
     let router = cluster.local_addr();
     let handle = cluster.handle();
@@ -376,6 +413,9 @@ fn mid_flight_worker_kill_re_dispatches_with_the_remaining_deadline() {
     // re-solves from scratch while sibling tests hold the cores.
     let line = slow_synth("slow");
     let owner = owner_of(&cluster, &line);
+    if warm_pool {
+        warm_pool_to(&cluster, owner);
+    }
 
     let t0 = Instant::now();
     let client = {
@@ -619,6 +659,17 @@ fn killed_owner_serves_the_hot_key_from_a_replica_without_a_resolve() {
 /// requests it then serves carry `TS007`.
 #[test]
 fn supervisor_respawns_a_killed_worker_with_a_new_generation_and_warm_cache() {
+    supervisor_respawns_a_killed_worker(false);
+}
+
+/// The same, with the router's connections to the owner warm at the
+/// kill: the newcomer must be reached on fresh connections.
+#[test]
+fn supervisor_respawns_a_killed_worker_with_a_new_generation_and_warm_cache_from_a_warm_pool() {
+    supervisor_respawns_a_killed_worker(true);
+}
+
+fn supervisor_respawns_a_killed_worker(warm_pool: bool) {
     let config = ClusterConfig {
         workers: 2,
         respawn: true,
@@ -645,6 +696,9 @@ fn supervisor_respawns_a_killed_worker_with_a_new_generation_and_warm_cache() {
             .is_some_and(|s| s.put_stores >= 1)),
         "write-behind must land before the kill"
     );
+    if warm_pool {
+        warm_pool_to(&cluster, owner);
+    }
 
     assert!(handle.kill_worker(owner));
     assert!(

@@ -93,12 +93,7 @@ impl Implementation {
     /// The set of licenses actually used by the assignments.
     #[must_use]
     pub fn licenses_used(&self, problem: &SynthesisProblem) -> BTreeSet<License> {
-        self.iter()
-            .map(|(copy, a)| License {
-                vendor: a.vendor,
-                ip_type: problem.dfg().kind(copy.op).ip_type(),
-            })
-            .collect()
+        self.licensed(problem).map(|(lic, _)| lic).collect()
     }
 
     /// Physical instance count per license: the peak number of copies bound
@@ -107,20 +102,37 @@ impl Implementation {
     /// over the whole schedule.
     #[must_use]
     pub fn instances(&self, problem: &SynthesisProblem) -> BTreeMap<License, usize> {
-        let mut per_cycle: BTreeMap<(License, usize), usize> = BTreeMap::new();
-        for (copy, a) in self.iter() {
+        let mut peak = BTreeMap::new();
+        self.for_each_peak(problem, |lic, n| {
+            peak.insert(lic, n);
+        });
+        peak
+    }
+
+    /// Calls `f(license, peak)` once per used license, in license order:
+    /// sorted by `(license, cycle)`, each license's copies are one run and
+    /// each of its cycles a sub-run, so its peak is its longest sub-run.
+    fn for_each_peak(&self, problem: &SynthesisProblem, mut f: impl FnMut(License, usize)) {
+        let mut placed: Vec<(License, usize)> = self.licensed(problem).collect();
+        placed.sort_unstable();
+        for run in placed.chunk_by(|a, b| a.0 == b.0) {
+            let peak = run.chunk_by(|a, b| a.1 == b.1).map(<[_]>::len).max();
+            f(run[0].0, peak.unwrap_or(0));
+        }
+    }
+
+    /// Every copy's `(license, cycle)`.
+    fn licensed<'a>(
+        &'a self,
+        problem: &'a SynthesisProblem,
+    ) -> impl Iterator<Item = (License, usize)> + 'a {
+        self.iter().map(|(copy, a)| {
             let lic = License {
                 vendor: a.vendor,
                 ip_type: problem.dfg().kind(copy.op).ip_type(),
             };
-            *per_cycle.entry((lic, a.cycle)).or_insert(0) += 1;
-        }
-        let mut peak: BTreeMap<License, usize> = BTreeMap::new();
-        for ((lic, _), count) in per_cycle {
-            let e = peak.entry(lic).or_insert(0);
-            *e = (*e).max(count);
-        }
-        peak
+            (lic, a.cycle)
+        })
     }
 
     /// Total silicon area of the instantiated cores.
@@ -131,16 +143,15 @@ impl Implementation {
     /// (validate first for a graceful diagnostic).
     #[must_use]
     pub fn area(&self, problem: &SynthesisProblem) -> u64 {
-        self.instances(problem)
-            .iter()
-            .map(|(lic, &n)| {
-                let off = problem
-                    .catalog()
-                    .offering_of(*lic)
-                    .unwrap_or_else(|| panic!("license {lic} not in catalog"));
-                off.area * n as u64
-            })
-            .sum()
+        let mut total = 0;
+        self.for_each_peak(problem, |lic, n| {
+            let off = problem
+                .catalog()
+                .offering_of(lic)
+                .unwrap_or_else(|| panic!("license {lic} not in catalog"));
+            total += off.area * n as u64;
+        });
+        total
     }
 
     /// Total license cost in dollars (the paper's `mc` once minimized).
@@ -150,9 +161,23 @@ impl Implementation {
     /// Panics if a used license is not offered by the catalog.
     #[must_use]
     pub fn license_cost(&self, problem: &SynthesisProblem) -> u64 {
-        problem
-            .catalog()
-            .cost_of(self.licenses_used(problem).into_iter().collect::<Vec<_>>())
+        // The vendors bought per type, one bit each: a problem has at
+        // most `MAX_VENDORS` (64). A vendor past bit 63 gets no bit, so
+        // `cost_of` reaches it and panics: it is not in the catalog.
+        let mut bought = [0u64; IpTypeId::COUNT];
+        let mut cost = 0;
+        for (lic, _) in self.licensed(problem) {
+            let bit = u32::try_from(lic.vendor.index())
+                .ok()
+                .and_then(|v| 1u64.checked_shl(v))
+                .unwrap_or(0);
+            let vendors = &mut bought[lic.ip_type.index()];
+            if *vendors & bit == 0 {
+                *vendors |= bit;
+                cost += problem.catalog().cost_of([lic]);
+            }
+        }
+        cost
     }
 
     /// The paper's table columns for this design.
@@ -379,5 +404,105 @@ mod tests {
         let imp = sample_impl();
         assert_eq!(imp.iter().count(), 10);
         assert!(imp.iter().all(|(c, _)| c.role != Role::Recovery));
+    }
+
+    mod accounting {
+        use super::*;
+        use proptest::prelude::*;
+        use troy_dfg::{random_dfg, RandomDfgConfig};
+
+        /// The map-based peak count `instances` replaced, kept as its oracle.
+        fn instances_oracle(
+            imp: &Implementation,
+            problem: &SynthesisProblem,
+        ) -> BTreeMap<License, usize> {
+            let mut per_cycle: BTreeMap<(License, usize), usize> = BTreeMap::new();
+            for (copy, a) in imp.iter() {
+                let lic = License {
+                    vendor: a.vendor,
+                    ip_type: problem.dfg().kind(copy.op).ip_type(),
+                };
+                *per_cycle.entry((lic, a.cycle)).or_insert(0) += 1;
+            }
+            let mut peak: BTreeMap<License, usize> = BTreeMap::new();
+            for ((lic, _), count) in per_cycle {
+                let e = peak.entry(lic).or_insert(0);
+                *e = (*e).max(count);
+            }
+            peak
+        }
+
+        /// The set-then-vector license cost `license_cost` replaced.
+        fn license_cost_oracle(imp: &Implementation, problem: &SynthesisProblem) -> u64 {
+            problem
+                .catalog()
+                .cost_of(imp.licenses_used(problem).into_iter().collect::<Vec<_>>())
+        }
+
+        /// A random problem and a random (not necessarily valid) design on
+        /// it: every copy of the mode is bound to an offered vendor at a
+        /// random cycle, or left unbound.
+        fn design() -> impl Strategy<Value = (SynthesisProblem, Implementation)> {
+            (
+                2usize..=40,
+                1usize..=8,
+                any::<u64>(),
+                prop_oneof![Just(Mode::DetectionOnly), Just(Mode::DetectionRecovery)],
+                proptest::collection::vec(any::<u64>(), 120),
+            )
+                .prop_map(|(ops, depth, seed, mode, draws)| {
+                    let cfg = RandomDfgConfig {
+                        ops,
+                        max_depth: depth,
+                        mul_ratio_percent: 40,
+                        edge_bias_percent: 70,
+                    };
+                    let dfg = random_dfg(&cfg, seed);
+                    let cp = dfg.critical_path_len();
+                    let problem = SynthesisProblem::builder(dfg, Catalog::paper8())
+                        .mode(mode)
+                        .detection_latency(cp)
+                        .recovery_latency(cp)
+                        .build()
+                        .expect("feasible by construction");
+                    let mut imp = Implementation::new(problem.dfg().len());
+                    let cycles = problem.total_latency();
+                    let mut draw = draws.iter().cycle();
+                    for op in problem.dfg().node_ids() {
+                        let vendors: Vec<VendorId> = problem
+                            .catalog()
+                            .vendors_for(problem.dfg().kind(op).ip_type())
+                            .collect();
+                        for &role in Role::for_mode(mode) {
+                            let d = *draw.next().expect("cycled") as usize;
+                            if d % 8 == 0 {
+                                continue;
+                            }
+                            let a = Assignment {
+                                cycle: 1 + (d >> 3) % cycles,
+                                vendor: vendors[(d >> 32) % vendors.len()],
+                            };
+                            imp.assign(op, role, a);
+                        }
+                    }
+                    (problem, imp)
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn accounting_equals_the_map_based_oracle((problem, imp) in design()) {
+                let expected = instances_oracle(&imp, &problem);
+                let area: u64 = expected
+                    .iter()
+                    .map(|(&lic, &n)| problem.catalog().offering_of(lic).unwrap().area * n as u64)
+                    .sum();
+                prop_assert_eq!(imp.instances(&problem), expected);
+                prop_assert_eq!(imp.area(&problem), area);
+                prop_assert_eq!(imp.license_cost(&problem), license_cost_oracle(&imp, &problem));
+            }
+        }
     }
 }

@@ -31,8 +31,8 @@ pub mod wire;
 pub use admission::{Admission, Admitted, Permit};
 pub use breaker::{Breaker, BreakerConfig, BreakerDecision, Breakers};
 pub use gate::Gate;
-pub use protocol::{parse_request, Cmd, RejectKind, Request, Response};
+pub use protocol::{parse_frame, parse_request, Cmd, RejectKind, Request, Response};
 pub use server::{build_problem, request_key, Service, ServiceConfig, ServiceHandle};
 pub use stats::{ServiceStats, StatsSnapshot};
 pub use troy_dfg::json::{escape, Json};
-pub use wire::{roundtrip, serve_frames, MAX_LINE};
+pub use wire::{connect, exchange, is_unanswered, roundtrip, serve_frames, MAX_LINE};

@@ -90,6 +90,13 @@ pub struct Request {
 /// Parses one request line. The error string is relayed verbatim to the
 /// client in a `malformed` rejection.
 pub fn parse_request(line: &str) -> Result<Request, String> {
+    parse_frame(line).map(|(request, _)| request)
+}
+
+/// Parses one request line like [`parse_request`] and also hands back
+/// the frame as JSON, minus its `entry` (moved into the request), so a
+/// relay can re-render it without parsing the line again.
+pub fn parse_frame(line: &str) -> Result<(Request, Json), String> {
     let mut json = Json::parse(line).ok_or("request is not valid protocol JSON")?;
     let Json::Obj(fields) = &mut json else {
         return Err("request must be a JSON object".into());
@@ -142,7 +149,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         Some(_) => return Err("`deadline_ms` must be a positive integer".into()),
     };
-    Ok(Request {
+    let request = Request {
         id,
         cmd,
         benchmark: json
@@ -180,7 +187,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             Some(Json::Bool(b)) => *b,
             Some(_) => return Err("`want_entry` must be a boolean".into()),
         },
-    })
+    };
+    Ok((request, json))
 }
 
 /// Why a request was rejected or failed — the `kind` field of a
